@@ -1,29 +1,30 @@
-"""Batched geodesic integration on rotationally invariant conformal metrics.
+"""Geodesics on rotationally invariant conformal metrics.
 
-Two charts are used:
+Two tools are used:
 
-* Polar (rho, theta), metric lam(rho)^2 (drho^2 + rho^2 dtheta^2).  With
-  J = lam rho and launch angle psi measured from the outward radial
-  direction, unit-speed geodesics conserve the Clairaut constant
-  c = J(rho_0) sin(psi), and theta is strictly increasing whenever c > 0.
-  The two-point problem "sweep bearing dtheta, arrive at radius rho_q"
-  is therefore solved with theta as the independent variable and
-  bisection on psi.  The radial state is compactified, x = rho/(1+rho).
-  Launch angles whose arc escapes past a radius cap are stopped at the
-  cap and kept as valid scan points (their arrival mismatch is positive
-  by construction); without the stop, escaping arcs on complete disk
-  metrics run into the chart-edge blowup of lam and stall the batch.
+* Clairaut quadrature for two-point distances.  On the metric
+  lam(rho)^2 (drho^2 + rho^2 dtheta^2) with J = lam rho, unit-speed
+  geodesics conserve c = J sin(psi), psi measured from the radial
+  direction.  An arc whose radius turns at t has c = J(t), and from t out
+  (or in) to a radius rho it sweeps and measures
 
-* Cartesian z, metric lam(|z|)^2 |dz|^2, geodesic equation
-  z'' = -F(|z|) conj(z) z'^2 with F = (log lam)'(rho)/rho.  F has a
-  finite limit at rho = 0 because lam is even, so this form is regular
-  through the origin; it drives exponential-map circles about
-  off-center points.
+      T(t, rho) = int c drho / (rho sqrt(J^2 - c^2)),
+      L(t, rho) = int lam J drho / sqrt(J^2 - c^2).
 
+  With rho = t cosh(tau) (pericenter) or rho = t / cosh(tau) (apocenter)
+  both integrands are smooth in tau, so a fixed composite Gauss-Legendre
+  rule evaluates them; J is never inverted.  A pair (rho_lo, rho_hi,
+  dtheta) is joined by an arc without a turn (sweep T_far - T_near), an
+  arc through a pericenter below rho_lo or an apocenter above rho_hi
+  (sweep T_far + T_near).  Each family is scanned along its turning
+  radius, and every sign change of sweep - dtheta is refined by a
+  bracketed Illinois iteration.
 
-All trajectories march through one vectorized Cash-Karp RKF45 stepper
-with per-member adaptive steps: a batch of launch angles or pairs costs
-one pass regardless of how stiff its slowest member is.
+* The Cartesian geodesic equation z'' = -F(|z|) conj(z) z'^2 with
+  F = (log lam)'(rho)/rho, which is regular through the origin because lam
+  is even.  It drives exponential-map circles about off-center points
+  through one vectorized Cash-Karp RKF45 stepper with per-member adaptive
+  steps, so a batch of launch angles costs one pass.
 """
 from __future__ import annotations
 
@@ -50,30 +51,22 @@ _BE = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 def integrate_batch(rhs: Callable, y0: np.ndarray, t_end,
                     rtol: float = 1e-10, atol: float = 1e-12,
-                    h0: float | None = None, max_sweeps: int = 20000,
-                    stop_above=None):
+                    h0: float | None = None, max_sweeps: int = 20000):
     """March y' = rhs(y) from t = 0 to per-member t_end.
 
     y0 has shape (k, N): k state components for N independent members.
     rhs must be autonomous and vectorized over the member axis.  Returns
     (y_final, ok_mask).  Members whose step size underflows are flagged
-    and left frozen.  stop_above = (component, threshold) halts a member
-    once that state component reaches the (per-member) threshold; such
-    members stay ok.
+    and left frozen.
     """
     y = np.array(y0, copy=True)
-    k, n = y.shape
+    n = y.shape[1]
     t_end = np.broadcast_to(np.asarray(t_end, dtype=float), (n,)).copy()
     t = np.zeros(n)
     h = np.full(n, h0 if h0 is not None else 1e-3 * np.max(t_end))
     h = np.minimum(h, t_end)
     ok = np.ones(n, dtype=bool)
-    stopped = np.zeros(n, dtype=bool)
-    if stop_above is not None:
-        sidx, sval = stop_above
-        sval = np.broadcast_to(np.asarray(sval, dtype=float), (n,))
-        stopped = np.real(y[sidx]) >= sval
-    active = (t < t_end) & ~stopped
+    active = t < t_end
     sweeps = 0
     while np.any(active):
         sweeps += 1
@@ -104,171 +97,177 @@ def integrate_batch(rhs: Callable, y0: np.ndarray, t_end,
         fac = np.where(enorm <= 1.0, np.minimum(grow, 5.0),
                        np.maximum(shrink, 0.2))
         h = np.where(active, h * fac, h)
-        if stop_above is not None:
-            stopped |= accept & (np.real(y[sidx]) >= sval)
         dead = active & (h < 1e-14) & (enorm > 1.0)
         ok &= ~dead
-        active = (t < t_end * (1 - 1e-15)) & ~dead & ok & ~stopped
+        active = (t < t_end * (1 - 1e-15)) & ~dead & ok
         h = np.where(active, np.minimum(h, t_end - t), h)
     return y, ok
 
 
-def _d1_vec(profile, rho):
-    """lam'(rho) vectorized; Richardson differences when no closed form."""
-    if profile.d_lam is not None:
-        return np.asarray(profile.d_lam(rho), dtype=float)
-    h = np.maximum(1e-5, 1e-4 * rho)
-    lam = profile.lam
-
-    def ctr(step):
-        return (lam(np.abs(rho + step)) - lam(np.abs(rho - step))) / (2 * step)
-
-    return (4.0 * ctr(0.5 * h) - ctr(h)) / 3.0
-
-
 # ---------------------------------------------------------------------------
-# polar two-point problem
+# two-point distances by Clairaut quadrature
 
-def _polar_rhs(profile, c, dtheta, x_clip, with_length):
-    # rho is evaluated no further out than x_clip: trial stages that
-    # overshoot the stopping cap must not touch the chart-edge blowup
-    lam_f = profile.lam
-
-    def rhs(y):
-        x = np.clip(y[0], 0.0, x_clip)
-        w = y[1]
-        rho = np.maximum(x / (1.0 - x), 1e-300)
-        lam = np.asarray(lam_f(rho), dtype=float)
-        d1 = _d1_vec(profile, rho)
-        dx = dtheta * w * lam * rho ** 2 / (c * (1.0 + rho) ** 2)
-        dw = dtheta * c * (d1 * rho + lam) / (lam ** 2 * rho)
-        if not with_length:
-            return np.stack([dx, dw])
-        ds = dtheta * (lam * rho) ** 2 / c
-        return np.stack([dx, dw, ds])
-
-    return rhs
+# composite Gauss-Legendre rule on [0, 1] in s = tau / tau_end.  The
+# panels shrink toward s = 1, where the end radius may sit near a
+# chart-edge singularity of lam or near the arc's other turning point.
+# The integrands are even in tau, so the first panel takes the positive
+# half of a rule on [-s1, s1]: its nodes keep away from tau = 0, where
+# J - c cancels.
+_EDGES = 1.0 - (1.0 - np.linspace(0.0, 1.0, 11)) ** 2
+_X20, _W20 = np.polynomial.legendre.leggauss(20)
+_X40, _W40 = np.polynomial.legendre.leggauss(40)
+_WIDTH = np.diff(_EDGES)[1:, None]
+_S = np.concatenate([_EDGES[1] * _X40[20:], (_EDGES[1:-1, None] + 0.5 * _WIDTH
+                                             * (_X20 + 1.0)).ravel()])
+_W = np.concatenate([_EDGES[1] * _W40[20:], (0.5 * _WIDTH * _W20).ravel()])
+_SCAN = np.linspace(0.0, 1.0, 17)   # |u| of the scanned turning radii
+_CHUNK = 32       # turning radii per evaluation; bounds the working set
+_MAX_ITER = 60    # Illinois iterations per bracket
+_TAU_MIN = 1e-4   # shortest leg, in tau, that is integrated directly
 
 
-def _terminal_x(profile, rho_p, psi, c_base, dtheta, x_cap, x_clip,
-                rtol, with_length=False):
-    """Integrate the polar system over tau in [0, 1]; returns terminal state.
+def _legs(lam, t, tau_near, ends, apo, r_ends):
+    """Sweep and length from turning radius t to the near and far ends.
 
-    Members are stopped (still ok) once x reaches x_cap; their terminal
-    x sits in [x_cap, x_clip] and reads as an overshoot.
+    ends and r_ends are (m, 2) with columns (near, far); t, apo and
+    tau_near are (m,).  Returns (T, L), each (m, 2); NaN where J dips
+    below c = J(t) on a leg.  t = 0 is the radial limit: sweep pi/2 and
+    length r(rho) per leg.  A leg shorter than _TAU_MIN, where J - c is
+    lost to rounding, is scaled down from one of extent _TAU_MIN ending at
+    the same radius: legs are odd and smooth in their extent.
     """
-    n = psi.size
-    c = c_base * np.sin(psi)
-    x0 = rho_p / (1.0 + rho_p)
-    comps = [np.full(n, x0) if np.ndim(rho_p) == 0 else x0.copy(),
-             np.cos(psi)]
-    if with_length:
-        comps.append(np.zeros(n))
-    y0 = np.stack([np.broadcast_to(cmp, (n,)).astype(float) for cmp in comps])
-    rhs = _polar_rhs(profile, c, dtheta, x_clip, with_length)
-    y, ok = integrate_batch(rhs, y0, 1.0, rtol=rtol, atol=1e-12, h0=1e-4,
-                            stop_above=(0, x_cap))
-    return y, ok
+    T = np.empty(ends.shape)
+    L = np.empty(ends.shape)
+    for lo in range(0, t.size, _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        radial = (t[sl] == 0.0)[:, None]
+        ec, ac = ends[sl], apo[sl][:, None]
+        tc = np.where(radial, ec, t[sl][:, None])
+        ratio = np.where(ac, tc / ec, ec / tc)[:, 1]
+        tau_end = np.where(radial, 0.0, np.stack(
+            [tau_near[sl], np.arccosh(np.maximum(ratio, 1.0))], axis=1))
+        short = (tau_end > 0.0) & (tau_end < _TAU_MIN)
+        stretch = math.cosh(_TAU_MIN)
+        tc = np.where(short, np.where(ac, ec * stretch, ec / stretch), tc)
+        c = (np.reshape(lam(tc.ravel()), tc.shape) * tc)[..., None]
+        tau = np.where(short, _TAU_MIN, tau_end)[..., None] * _S
+        ch = np.cosh(tau)
+        x = tc[..., None] * np.where(ac[..., None], 1.0 / ch, ch)
+        J = np.reshape(lam(x.ravel()), x.shape) * x
+        with np.errstate(invalid="ignore", divide="ignore"):
+            wq = (np.tanh(tau) / np.sqrt((J - c) * (J + c))
+                  * (tau_end[..., None] * _W))
+        Tc = np.where(tau_end > 0.0, c[..., 0] * wq.sum(axis=-1), 0.0)
+        Lc = np.where(tau_end > 0.0, (J * J * wq).sum(axis=-1), 0.0)
+        T[sl] = np.where(radial, 0.5 * math.pi, Tc)
+        L[sl] = np.where(radial, r_ends[sl], Lc)
+    return T, L
 
 
-def connect_lengths(profile, rho_p, rho_q, dtheta, r_p, r_q, r_cap,
-                    rho_of_r, angle_tol: float = 1e-10,
-                    rtol: float = 1e-11) -> np.ndarray:
+def connect_lengths(profile, rho_p, rho_q, dtheta, r_p, r_q,
+                    rho_cap) -> np.ndarray:
     """Distances for pairs ((rho_p, 0) -> (rho_q, dtheta)), dtheta in (0, pi].
 
-    Shooting: scan launch angles for sign changes of the arrival-radius
-    mismatch, bisect each bracket to angle_tol, then integrate the winners
-    once more carrying arc length.  For dtheta = pi the broken radial path
-    through the origin (length r_p + r_q) competes as a candidate; on
-    asymptotically conical or cylindrical metrics the swept geodesic can
-    undercut it, so the minimum over all candidates is returned.
+    Each pair is posed as (rho_lo, rho_hi, dtheta).  Two families of arcs
+    are scanned along a signed parameter u in [-1, 1]; u < 0 is the arc
+    without a turn, u > 0 the arc through the turning point t:
+
+    * pericenter side: t = rho_lo / cosh(2 artanh u), from rho_lo at u = 0
+      down to the radial (sweep 0) and through-origin (sweep pi) limits at
+      u = -1 and u = 1;
+    * apocenter side: t = rho_hi cosh(|u| tau_cap), from rho_hi out to
+      rho_cap.
+
+    The sweep is smooth in u across u = 0.  Every sign change of
+    sweep - dtheta between admissible scan points is refined and the
+    shortest arc wins; at dtheta = pi the broken radial path through the
+    origin (r_p + r_q) competes too.  Arcs without a turn are found on
+    both sides when they have both turning points; each side is accurate
+    where the other end is far from its second turning point.
     """
-    rho_p = np.asarray(rho_p, dtype=float)
-    rho_q = np.asarray(rho_q, dtype=float)
-    dtheta = np.asarray(dtheta, dtype=float)
-    r_p = np.asarray(r_p, dtype=float)
-    r_q = np.asarray(r_q, dtype=float)
-    npairs = rho_p.size
-    rho_cap = rho_of_r(np.asarray(r_cap, dtype=float))
-    x_cap = rho_cap / (1.0 + rho_cap)
-    x_edge = (profile.rho_max / (1.0 + profile.rho_max)
-              if math.isfinite(profile.rho_max) else 1.0)
-    x_clip = x_cap + 0.5 * (x_edge - x_cap)
-    c_base = np.asarray(profile.lam(rho_p), dtype=float) * rho_p
-    x_q = rho_q / (1.0 + rho_q)
+    lam = profile.lam
+    rho_p, rho_q, dtheta, r_p, r_q, rho_cap = (
+        np.asarray(a, dtype=float)
+        for a in (rho_p, rho_q, dtheta, r_p, r_q, rho_cap))
+    n, ns = rho_p.size, _SCAN.size
+    # per (pair, side): side 0 turns at a pericenter, side 1 at an
+    # apocenter; the last axis of ends and r_ends is (near, far)
+    perm = [[0, 1], [1, 0]]
+    ends = np.sort(np.stack([rho_p, rho_q], -1), -1)[:, perm]
+    r_ends = np.sort(np.stack([r_p, r_q], -1), -1)[:, perm]
+    apo = np.tile([False, True], (n, 1))
+    tau_cap = np.stack([np.zeros(n), np.arccosh(
+        np.maximum(rho_cap / ends[:, 1, 0], 1.0))], 1)
+    j_far = lam(ends[..., 1]) * ends[..., 1]
 
-    scan = np.concatenate([
-        np.geomspace(1e-4, 0.02, 4, endpoint=False),
-        np.linspace(0.02, math.pi - 0.02, 21),
-        math.pi - np.geomspace(1e-4, 0.02, 4, endpoint=False)[::-1],
-    ])
-    ns = scan.size
-    psi_all = np.tile(scan, npairs)
-    rep = np.repeat(np.arange(npairs), ns)
-    y, ok = _terminal_x(profile, rho_p[rep], psi_all, c_base[rep],
-                        dtheta[rep], x_cap[rep], x_clip[rep], rtol=1e-8)
-    mism = np.where(ok, y[0] - x_q[rep], np.nan).reshape(npairs, ns)
+    def turn(au, sel):
+        # turning radius at |u| = au and the near leg's extent in tau
+        with np.errstate(divide="ignore"):
+            tau = np.where(apo[sel], au * tau_cap[sel], 2.0 * np.arctanh(au))
+        near, ch = ends[sel][..., 0], np.cosh(tau)
+        return np.where(apo[sel], near * ch, near / ch), tau
 
-    pair_idx, lo, hi, mlo = [], [], [], []
-    for i in range(npairs):
-        m = mism[i]
-        found = 0
-        for j in range(ns - 1):
-            if not (np.isfinite(m[j]) and np.isfinite(m[j + 1])):
-                continue
-            if m[j] == 0.0 or (m[j] < 0) != (m[j + 1] < 0):
-                pair_idx.append(i)
-                lo.append(scan[j])
-                hi.append(scan[j + 1])
-                mlo.append(m[j])
-                found += 1
-                if found >= 4:
-                    break
-        if found == 0 and dtheta[i] < math.pi - 1e-9:
-            raise ShootingError(
-                f"no bracket for pair rho_p={rho_p[i]:g}, rho_q={rho_q[i]:g}, "
-                f"dtheta={dtheta[i]:g}")
+    def legs(au, sel):
+        return _legs(lam, *turn(au, sel), ends[sel], apo[sel], r_ends[sel])
 
-    best = np.full(npairs, np.inf)
-    near_pi = dtheta >= math.pi - 1e-9
-    best[near_pi] = (r_p + r_q)[near_pi]
+    # scan |u| on _SCAN for both sides; both signs of u share the legs.
+    # A turning radius with c = J(t) above J at the far end is skipped.
+    t = turn(_SCAN, (slice(None), slice(None), None))[0]
+    c = lam(np.where(t > 0.0, t, ends[..., 0, None])) * t
+    idx = np.nonzero((c <= j_far[..., None])
+                     & ~(apo & (tau_cap == 0.0))[..., None])
+    T = np.full((n, 2, ns, 2), np.nan)
+    L = np.full((n, 2, ns, 2), np.nan)
+    T[idx], L[idx] = legs(_SCAN[idx[2]], idx[:2])
+    # signed path u = -1 .. 0 .. 1
+    sign = np.concatenate([-np.ones(ns - 1), np.ones(ns)])
+    order = np.concatenate([np.arange(ns - 1, 0, -1), np.arange(ns)])
+    u_path = sign * _SCAN[order]
+    f = T[..., order, 1] + sign * T[..., order, 0] - dtheta[:, None, None]
+    length = L[..., order, 1] + sign * L[..., order, 0]
 
-    if pair_idx:
-        pi_arr = np.asarray(pair_idx)
-        lo = np.asarray(lo)
-        hi = np.asarray(hi)
-        mlo = np.asarray(mlo)
-        iters = int(math.ceil(math.log2(float(np.max(hi - lo)) / angle_tol)))
-        for it in range(max(iters, 1)):
-            mid = 0.5 * (lo + hi)
-            tol_here = rtol if np.max(hi - lo) < 1e-5 else 1e-8
-            y, ok = _terminal_x(profile, rho_p[pi_arr], mid, c_base[pi_arr],
-                                dtheta[pi_arr], x_cap[pi_arr], x_clip[pi_arr],
-                                rtol=tol_here)
-            mm = np.where(ok, y[0] - x_q[pi_arr], np.nan)
-            bad = ~np.isfinite(mm)
-            if np.any(bad):
-                raise ShootingError("integration failed inside bisection")
-            same = (mm < 0) == (mlo < 0)
-            lo = np.where(same, mid, lo)
-            mlo = np.where(same, mm, mlo)
-            hi = np.where(same, hi, mid)
-        psi_root = 0.5 * (lo + hi)
-        y, ok = _terminal_x(profile, rho_p[pi_arr], psi_root, c_base[pi_arr],
-                            dtheta[pi_arr], x_cap[pi_arr], x_clip[pi_arr],
-                            rtol=rtol, with_length=True)
-        if not np.all(ok):
-            raise ShootingError("length integration failed")
-        res = np.abs(y[0] - x_q[pi_arr])
-        if np.any(res > 1e-5 * (1.0 + x_q[pi_arr])):
-            worst = int(np.argmax(res))
-            raise ShootingError(
-                f"arrival radius off by {res[worst]:.2e} after bisection")
-        for j, i in enumerate(pi_arr):
-            best[i] = min(best[i], y[2][j])
+    def fail(why, j):
+        raise ShootingError(f"{why} for pair rho_p={rho_p[j]:g}, "
+                            f"rho_q={rho_q[j]:g}, dtheta={dtheta[j]:g}")
 
-    if np.any(~np.isfinite(best)):
-        raise ShootingError("no connecting geodesic found for some pair")
+    best = np.where(dtheta >= math.pi - 1e-9, r_p + r_q, np.inf)
+    hit = f == 0.0
+    np.minimum.at(best, np.nonzero(hit)[0], length[hit])
+    fa, fb = f[..., :-1], f[..., 1:]
+    bracket = np.isfinite(fa) & np.isfinite(fb) & (fa * fb < 0.0)
+    bi, bs, bk = np.nonzero(bracket)
+    ua, ub = u_path[bk], u_path[bk + 1]
+    fa, fb = fa[bracket], fb[bracket]
+    found = np.isfinite(best)
+    found[bi] = True
+    if not np.all(found):
+        fail("no bracket", np.argmin(found))
+
+    # bracketed Illinois iteration on all brackets at once
+    active = np.ones(bi.size, dtype=bool)
+    for _ in range(_MAX_ITER):
+        if not np.any(active):
+            break
+        a = np.nonzero(active)[0]
+        u = ub[a] - fb[a] * (ub[a] - ua[a]) / (fb[a] - fa[a])
+        Tn, Ln = legs(np.abs(u), (bi[a], bs[a]))
+        sg = np.where(u < 0.0, -1.0, 1.0)
+        fn = Tn[:, 1] + sg * Tn[:, 0] - dtheta[bi[a]]
+        # an iterate outside the family's admissible radii ends its bracket
+        lost = ~np.isfinite(fn)
+        done = ~lost & ((np.abs(fn) <= 1e-13)
+                        | (np.abs(ub[a] - ua[a]) <= 1e-15))
+        np.minimum.at(best, bi[a][done], (Ln[:, 1] + sg * Ln[:, 0])[done])
+        flip = fn * fb[a] < 0.0
+        ua[a] = np.where(flip, ub[a], ua[a])
+        fa[a] = np.where(flip, fb[a], 0.5 * fa[a])
+        ub[a], fb[a] = u, fn
+        active[a[done | lost]] = False
+    if np.any(active):
+        fail(f"Illinois iteration cap {_MAX_ITER} reached",
+             bi[np.argmax(active)])
+    if not np.all(np.isfinite(best)):
+        fail("no connecting geodesic", np.argmin(np.isfinite(best)))
     return best
 
 

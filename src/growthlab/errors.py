@@ -18,7 +18,7 @@ class BlowDownError(GrowthLabError, ValueError):
 
 
 class ShootingError(GrowthLabError, RuntimeError):
-    """Geodesic shooting failed to bracket or converge on a connecting arc."""
+    """A two-point geodesic solve failed to bracket or converge on an arc."""
 
 
 class MaximizationError(GrowthLabError, RuntimeError):

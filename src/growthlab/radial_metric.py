@@ -37,10 +37,9 @@ profile and are what custom tables use.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -570,18 +569,17 @@ def model_hessian(model: RadialKahlerModel, r):
 # ---------------------------------------------------------------------------
 # geodesic distance
 
-def _wrap_angle(a: float) -> float:
-    return math.remainder(a, 2.0 * math.pi)
-
-
-def pair_distances(model: RadialKahlerModel, ps, qs, method: str = "auto",
-                   angle_tol: float = 1e-10) -> np.ndarray:
+def pair_distances(model: RadialKahlerModel, ps, qs,
+                   method: str = "auto") -> np.ndarray:
     """Geodesic distances for batches of chart points (complex arrays).
 
     Points are coordinates on a complex line through the origin; for n >= 2
     both endpoints of each pair must lie on a common line.  method is one of
-    "auto" (closed form when the model has one, else shooting), "closed",
-    or "shoot".
+    "auto" (closed form when the model has one, else Clairaut quadrature),
+    "closed", or "shoot" (Clairaut quadrature for any profile).  Pairs on
+    one ray or through the origin take |r_p - r_q|; the others are posed
+    as (rho_lo, rho_hi, |dtheta|), so d(p, q) = d(q, p) exactly, and arcs
+    are searched out to geodesic radius max(r_p, r_q) + 1.
     """
     p = np.atleast_1d(np.asarray(ps, dtype=complex))
     q = np.atleast_1d(np.asarray(qs, dtype=complex))
@@ -597,39 +595,22 @@ def pair_distances(model: RadialKahlerModel, ps, qs, method: str = "auto",
     if method in ("auto", "closed") and model.f_pair_distance is not None:
         return np.asarray(model.f_pair_distance(p, q), dtype=float)
 
-    out = np.empty(p.shape, dtype=float)
-    r_p = np.asarray(distance_from_origin(model, np.abs(p)), dtype=float)
-    r_q = np.asarray(distance_from_origin(model, np.abs(q)), dtype=float)
-    shoot_idx = []
-    shoot_args = []
-    for i in range(p.size):
-        a, b = p.flat[i], q.flat[i]
-        ra, rb = float(r_p.flat[i]), float(r_q.flat[i])
-        if a == b:
-            out.flat[i] = 0.0
-            continue
-        if abs(a) == 0.0 or abs(b) == 0.0:
-            out.flat[i] = abs(ra - rb)
-            continue
-        dth = abs(_wrap_angle(cmath.phase(b) - cmath.phase(a)))
-        if dth <= 1e-12:
-            out.flat[i] = abs(ra - rb)
-            continue
-        shoot_idx.append(i)
-        shoot_args.append((abs(a), abs(b), dth, ra, rb))
-    if shoot_idx:
-        arr = np.array(shoot_args, dtype=float)
-        lengths = _shooting.connect_lengths(
-            model.profile, arr[:, 0], arr[:, 1], arr[:, 2],
-            arr[:, 3], arr[:, 4],
-            r_cap=np.minimum(np.maximum(arr[:, 3], arr[:, 4]) + 1.0,
-                             model.r_max - 1e-6 if math.isfinite(model.r_max)
-                             else math.inf),
-            rho_of_r=lambda rr: np.asarray(rho_of_r(model, rr), dtype=float),
-            angle_tol=angle_tol)
-        for j, i in enumerate(shoot_idx):
-            out.flat[i] = lengths[j]
-    return out
+    a, b = p.ravel(), q.ravel()
+    r_a = np.asarray(distance_from_origin(model, np.abs(a)), dtype=float)
+    r_b = np.asarray(distance_from_origin(model, np.abs(b)), dtype=float)
+    dth = np.angle(b) - np.angle(a)
+    dth = np.abs(dth - 2.0 * math.pi * np.round(dth / (2.0 * math.pi)))
+    out = np.abs(r_a - r_b)
+    swept = np.nonzero((a != 0) & (b != 0) & (dth > 1e-12))[0]
+    if swept.size:
+        r_cap = np.minimum(np.maximum(r_a, r_b)[swept] + 1.0,
+                           model.r_max - 1e-6 if math.isfinite(model.r_max)
+                           else math.inf)
+        out[swept] = _shooting.connect_lengths(
+            model.profile, np.abs(a[swept]), np.abs(b[swept]), dth[swept],
+            r_a[swept], r_b[swept],
+            np.asarray(rho_of_r(model, r_cap), dtype=float))
+    return out.reshape(p.shape)
 
 
 def geodesic_distance(model: RadialKahlerModel, p, q,

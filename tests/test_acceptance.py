@@ -10,7 +10,7 @@ curvature-nonnegative models, violation detection and the small-radius
 deficit law, the closed-form ODE catalog against the numeric solver,
 the Jacobi-field cross oracle, the sign of the decay supersolution
 residual, dimension arithmetic, homogeneity at large scale, and the
-geodesic shooting engine.  Tolerances here are pinned; loosening them
+two-point geodesic engine.  Tolerances here are pinned; loosening them
 is never the right fix for a regression.
 """
 import itertools
@@ -258,7 +258,8 @@ def test_acceptance_9_homogeneity(criterion) -> None:
 
 
 # ---------------------------------------------------------------------------
-# 10. geodesic engine: shooting vs closed forms, symmetry, triangles
+# 10. geodesic engine: Clairaut quadrature vs closed forms, symmetry,
+# triangles
 
 def _hyperbolic_dist(p, q):
     t = 2 * np.abs(p - q) ** 2 / ((1 - np.abs(p) ** 2) * (1 - np.abs(q) ** 2))

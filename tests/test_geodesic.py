@@ -1,9 +1,17 @@
 """Two-point geodesic distances and exponential-map circles.
 
-Shooting is validated against closed forms on the constant-curvature
-models and against an independent Clairaut quadrature on the cigar.
+method="shoot" solves the two-point problem by Clairaut quadrature: a
+fixed Gauss-Legendre rule along each family of arcs and an Illinois root
+find on the sweep.  It is checked against the closed forms on the flat,
+hyperbolic and sphere models (inside and past the sphere's equator, where
+arcs turn at an apocenter) and against an independent oracle, adaptive
+quad plus brentq on the Clairaut constant, on the cigar and on a
+conformal_poly profile.  Symmetry holds by construction, since each pair
+is posed as (rho_lo, rho_hi, |dtheta|); the 1e-8 closed-form test is the
+one that measures accuracy.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +19,8 @@ from scipy import integrate, optimize
 
 from growthlab import (
     DomainError,
+    ShootingError,
+    _shooting,
     builtin_model,
     distance_from_origin,
     geodesic_circle,
@@ -79,6 +89,28 @@ def test_sphere_shoot_matches_closed():
     assert np.max(np.abs(d - sphere_dist(ps, qs))) <= 1e-6
 
 
+def test_sphere_past_equator_matches_closed():
+    # J = sin r decreases past r = pi/2: arcs turn at an apocenter
+    rng = np.random.default_rng(107)
+    m = builtin_model("sphere")
+    rr = rng.uniform(1.2, 2.6, size=(2, 16))
+    th = rng.uniform(0, 2 * np.pi, size=(2, 16))
+    ps = np.tan(rr[0] / 2) * np.exp(1j * th[0])
+    qs = np.tan(rr[1] / 2) * np.exp(1j * th[1])
+    d = pair_distances(m, ps, qs, method="shoot")
+    assert np.max(np.abs(d - sphere_dist(ps, qs))) <= 1e-6
+
+
+def test_shoot_accuracy_against_closed_forms():
+    rng = np.random.default_rng(108)
+    for tag, ref, hi in (("flat", flat_dist, 2.5),
+                         ("hyperbolic", hyperbolic_dist, 0.95),
+                         ("sphere", sphere_dist, math.tan(1.25))):
+        ps, qs = rand_pairs(rng, hi, 60, rho_lo=0.01)
+        d = pair_distances(builtin_model(tag), ps, qs, method="shoot")
+        assert np.max(np.abs(d - ref(ps, qs))) <= 1e-8, tag
+
+
 def test_scaled_curvature_closed_forms():
     rng = np.random.default_rng(104)
     k = 2.0
@@ -92,61 +124,79 @@ def test_scaled_curvature_closed_forms():
 
 
 # ---------------------------------------------------------------------------
-# cigar oracle: Clairaut first integrals, quadrature in r, J = tanh r
+# Clairaut oracle: first integrals by adaptive quadrature in rho, J = lam rho
 
-def _cigar_peri_legs(c, r_end):
-    # leg from the perihelion r*(c) out to r_end, substitution r = r* + t^2;
-    # 1 - (c/J)^2 is computed as (J - c)(J + c)/J^2 with the tanh difference
-    # identity so the integrand stays clean when c grazes tanh(r_end)
-    rstar = optimize.brentq(lambda r: math.tanh(r) - c, 1e-14, 60, xtol=1e-15)
-    tmax = math.sqrt(max(r_end - rstar, 0.0))
+def _peri_legs(lam, c, rho_in, rho_end):
+    # leg from the pericenter t (J(t) = c, J increasing on [0, rho_in]) out
+    # to rho_end; rho = t + s^2 removes the square root at the turn
+    def J(x):
+        return float(lam(x)) * x
 
-    def parts(t):
-        b = t * t
-        J = np.tanh(rstar + b)
-        jmc = np.sinh(b) / (np.cosh(rstar + b) * np.cosh(rstar))
-        v = jmc * (J + c) / J ** 2
-        return J, np.sqrt(np.maximum(v, 1e-300))
+    t = optimize.brentq(lambda x: J(x) - c, 0.0, rho_in, xtol=1e-16,
+                        rtol=1e-15)
+    smax = math.sqrt(max(rho_end - t, 0.0))
 
-    def li(t):
-        return 2 * t / parts(t)[1]
+    def parts(s):
+        x = t + s * s
+        jx = J(x)
+        return x, jx, 2 * s / math.sqrt(max((jx - c) * (jx + c), 1e-300))
 
-    def ti(t):
-        J, sq = parts(t)
-        return 2 * t * c / (J ** 2 * sq)
+    def li(s):
+        x, jx, w = parts(s)
+        return float(lam(x)) * jx * w
 
-    L, _ = integrate.quad(li, 0, tmax, limit=400)
-    T, _ = integrate.quad(ti, 0, tmax, limit=400)
+    def ti(s):
+        x, _, w = parts(s)
+        return c * w / x
+
+    # near tangency J - c loses digits to rounding and quad says so; such
+    # grid points only bracket roots
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        L, _ = integrate.quad(li, 0, smax, epsabs=1e-14, epsrel=1e-13,
+                              limit=400)
+        T, _ = integrate.quad(ti, 0, smax, epsabs=1e-14, epsrel=1e-13,
+                              limit=400)
     return L, T
 
 
-def cigar_oracle(r_p, r_q, dth):
-    """Distance on the cigar via bisection on the Clairaut constant.
+def clairaut_oracle(profile, rho_p, rho_q, dth):
+    """Distance on a profile by root finding on the Clairaut constant.
 
-    Candidates: arc through a perihelion (leg sum), monotone arc (leg
-    difference), and the broken path through the origin.
+    Needs J = lam rho increasing on [0, max(rho_p, rho_q)].  Candidates:
+    every root of the sweep along the arc through a pericenter (leg sum)
+    and the monotone arc (leg difference), bracketed on a grid in c, and
+    the broken path through the origin.
     """
-    r_lo, r_hi = min(r_p, r_q), max(r_p, r_q)
-    chi = math.tanh(r_lo) * (1 - 1e-9)
-    cands = [r_p + r_q]
+    lam = profile.lam
+    lo, hi = min(rho_p, rho_q), max(rho_p, rho_q)
+    chi = float(lam(lo)) * lo * (1 - 1e-9)
+    cands = [sum(integrate.quad(lambda x: float(lam(x)), 0, rho,
+                                epsabs=1e-14, epsrel=1e-13)[0]
+                 for rho in (rho_p, rho_q))]
 
-    def sweep_peri(c):
-        return (_cigar_peri_legs(c, r_p)[1]
-                + _cigar_peri_legs(c, r_q)[1] - dth)
+    def legs(c):
+        return _peri_legs(lam, c, lo, lo), _peri_legs(lam, c, lo, hi)
 
-    def sweep_mono(c):
-        return (_cigar_peri_legs(c, r_hi)[1]
-                - _cigar_peri_legs(c, r_lo)[1] - dth)
+    grid = chi * np.concatenate([[1e-9], np.linspace(0.02, 0.98, 25),
+                                 1 - np.geomspace(1e-2, 1e-7, 6)])
+    for sign in (1, -1):
+        def sweep(c):
+            (_, t_lo), (_, t_hi) = legs(c)
+            return t_hi + sign * t_lo - dth
 
-    if sweep_peri(1e-9) * sweep_peri(chi) < 0:
-        c = optimize.brentq(sweep_peri, 1e-9, chi, xtol=1e-15)
-        cands.append(_cigar_peri_legs(c, r_p)[0]
-                     + _cigar_peri_legs(c, r_q)[0])
-    if sweep_mono(1e-9) * sweep_mono(chi) < 0:
-        c = optimize.brentq(sweep_mono, 1e-9, chi, xtol=1e-15)
-        cands.append(_cigar_peri_legs(c, r_hi)[0]
-                     - _cigar_peri_legs(c, r_lo)[0])
+        vals = [sweep(c) for c in grid]
+        for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
+            if fa * fb < 0:
+                c = optimize.brentq(sweep, a, b, xtol=1e-15)
+                (l_lo, _), (l_hi, _) = legs(c)
+                cands.append(l_hi + sign * l_lo)
     return min(cands)
+
+
+def cigar_oracle(r_p, r_q, dth):
+    return clairaut_oracle(builtin_model("cigar").profile,
+                           math.sinh(r_p), math.sinh(r_q), dth)
 
 
 # frozen from the quadrature oracle above
@@ -185,6 +235,27 @@ def test_cigar_wrap_beats_origin_path():
     d = geodesic_distance(m, p, q)
     assert d < 2 * r - 1.0
     assert abs(d - cigar_oracle(r, r, math.pi)) <= 1e-7
+
+
+# pairs whose endpoints sit where J = rho - rho^3/2 increases (rho < 0.816)
+POLY_PAIRS = [(0.3, 0.7j), (0.6, 0.5 * np.exp(2.5j)), (0.2, 0.75 * np.exp(1j))]
+
+
+@pytest.mark.parametrize("p,q", POLY_PAIRS)
+def test_conformal_poly_matches_oracle(p, q):
+    # a 400-segment polyline minimization gives 0.686249, 0.978239 and
+    # 0.587493
+    m = builtin_model("conformal_poly", coeffs=[1.0, -0.5])
+    want = clairaut_oracle(m.profile, abs(p), abs(q),
+                           abs(np.angle(q / p)))
+    assert abs(geodesic_distance(m, p, q, method="shoot") - want) <= 1e-8
+
+
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(_shooting, "_MAX_ITER", 1)
+    m = builtin_model("hyperbolic")
+    with pytest.raises(ShootingError, match="rho_p=0.3, rho_q=0.6"):
+        pair_distances(m, [0.3], [0.6j], method="shoot")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,28 @@
+"""Smoke test of the benchmark harness in perfbench/.
+
+One quick geodesic-pairs pass, untraced and traced.  The traced run binds
+growthlab's functions by name, so a rename that breaks the tracer fails
+here.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_geodesic_pairs_quick(trace):
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", "geodesic-pairs", "--quick", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=False)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout.strip().splitlines()[-1])
+    assert out["correct"] is True
+    if trace:
+        pairs = out["metrics"]["radial_metric.pair_distances.pairs"]
+        assert pairs["value"] > 0
