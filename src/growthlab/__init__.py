@@ -3,6 +3,7 @@ functions on rotationally invariant Kahler model metrics."""
 
 from .errors import (
     BlowDownError,
+    BudgetError,
     ConjugatePointError,
     DomainError,
     GrowthLabError,

@@ -275,7 +275,7 @@ def connect_lengths(profile, rho_p, rho_q, dtheta, r_p, r_q,
 # exponential-map circles (Cartesian chart)
 
 def _cartesian_rhs(profile):
-    logd = profile.log_deriv_over_rho
+    logd = profile.log_d1_over_rho
 
     def rhs(y):
         z, v = y[0], y[1]

@@ -28,6 +28,7 @@ nonnegative (for eps < 1/2), and that is the direction verified.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -36,10 +37,11 @@ import numpy as np
 from scipy import integrate
 
 from . import _numdiff
-from .errors import BlowDownError, DomainError
+from .errors import BlowDownError, BudgetError, DomainError
 
 _R0_CHECK = 1e-4    # normalization probe radius
 _R_SERIES = 1e-6    # below this the Riccati solution uses its series start
+_MAX_RHS = 50_000   # right-hand side evaluations per Riccati or h solve
 
 __all__ = [
     "CurvatureLowerBound",
@@ -262,6 +264,18 @@ def closed_form_supersolution(tag: str, **params) -> Supersolution:
     raise DomainError(f"unknown supersolution tag {tag!r}")
 
 
+def _budgeted(rhs: Callable, what: str) -> Callable:
+    """rhs counting its calls; past _MAX_RHS it raises BudgetError."""
+    calls = itertools.count(1)
+
+    def counted(r, y):
+        if next(calls) > _MAX_RHS:
+            raise BudgetError(f"{what} used up its budget of {_MAX_RHS} "
+                              f"right-hand side evaluations at r = {r:g}")
+        return rhs(r, y)
+    return counted
+
+
 def solve_riccati_equality(g: CurvatureLowerBound, r_end: float = 50.0,
                            rtol: float = 3e-12,
                            atol: float = 1e-14) -> Supersolution:
@@ -272,7 +286,8 @@ def solve_riccati_equality(g: CurvatureLowerBound, r_end: float = 50.0,
     started at r = 1e-6 from the series w = 1 - g(0) r^2 / 3.  A
     blow-down (w -> -inf under positive bounds) stops the solve; the
     estimated blow-down radius is recorded and evaluation past it
-    raises BlowDownError.
+    raises BlowDownError.  A solve that needs more than _MAX_RHS
+    evaluations of g raises BudgetError.
 
     The default tolerances are tighter than the 1e-8 residual target
     because the residual is measured by differentiating the dense
@@ -300,8 +315,9 @@ def solve_riccati_equality(g: CurvatureLowerBound, r_end: float = 50.0,
     blow.direction = -1
 
     sol = integrate.solve_ivp(
-        rhs, (_R_SERIES, r_end), [w_start], method="DOP853",
-        rtol=rtol, atol=atol, dense_output=True, events=[blow])
+        _budgeted(rhs, "Riccati solve"), (_R_SERIES, r_end), [w_start],
+        method="DOP853", rtol=rtol, atol=atol, dense_output=True,
+        events=[blow])
     if not sol.success and sol.status != 1:
         raise DomainError(f"Riccati solve failed: {sol.message}")
     blow_down = None
@@ -403,7 +419,8 @@ def solve_convexifier(u: Supersolution, r_end: float | None = None) -> Convexifi
     V's integrand is regular at 0 (it vanishes like r when 2ur -> 1), so
     the log-singular part of h is handled exactly: h = log r + Q(r) with
     Q' = (e^{-2V} - 1)/r, then h is shifted so e^{h(r0)}/r0 = 1 exactly
-    at r0 = 1e-4.
+    at r0 = 1e-4.  A solve that needs more than _MAX_RHS evaluations of u
+    raises BudgetError.
     """
     if not u.origin_normalized:
         raise DomainError("solve_convexifier needs an origin-normalized u")
@@ -417,7 +434,8 @@ def solve_convexifier(u: Supersolution, r_end: float | None = None) -> Convexifi
         du = float(u(r)) - 0.5 / r
         return [du, (math.exp(-2.0 * y[0]) - 1.0) / r]
 
-    sol = integrate.solve_ivp(rhs, (1e-8, hi), [0.0, 0.0], method="DOP853",
+    sol = integrate.solve_ivp(_budgeted(rhs, "convexifier quadrature"),
+                              (1e-8, hi), [0.0, 0.0], method="DOP853",
                               rtol=1e-11, atol=1e-13, dense_output=True)
     if not sol.success:
         raise DomainError(f"convexifier quadrature failed: {sol.message}")

@@ -23,3 +23,7 @@ class ShootingError(GrowthLabError, RuntimeError):
 
 class MaximizationError(GrowthLabError, RuntimeError):
     """A modulus maximization failed to converge to the requested tolerance."""
+
+
+class BudgetError(GrowthLabError, RuntimeError):
+    """An iterative solve used up its evaluation budget."""

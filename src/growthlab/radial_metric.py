@@ -31,21 +31,25 @@ Built-in profiles
     conformal_poly  lam = c0 + c1 rho^2 + ...    polynomial in rho^2
     custom          cubic spline through a user table (rho, lam)
 
-Closed forms (distances, curvature, Hessian, pairwise distance) are wired
-in where they exist; the generic numeric routes remain available for any
-profile and are what custom tables use.
+The first four have closed-form radial maps r(rho), rho(r), H(r) and u(r).
+The others get them from one table built with the model: r at graded rho
+knots by Gauss-Legendre panels (exact for conformal_poly), rho(r) by a
+Hermite guess and Newton steps, and log lam derivatives from d_lam / d2_lam
+or from Chebyshev panels of G(s) = log lam(sqrt s), s = rho^2, where
+(log lam)'/rho = 2 G' and Delta_0 log lam = 4 (G' + s G'').
 """
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+# not called here: perfbench/tracing.py counts quad, brentq and numdiff
+# calls through these names
+from scipy import integrate, optimize  # noqa: F401
 
-from . import _numdiff, _shooting
+from . import _numdiff, _shooting  # noqa: F401
 from .errors import ConjugatePointError, DomainError
 
 __all__ = [
@@ -64,16 +68,13 @@ __all__ = [
     "geodesic_circle",
 ]
 
-_ORIGIN_RHO = 1e-6  # below this, radial formulas switch to their even-limit form
-
 
 @dataclass(frozen=True)
 class RadialProfile:
     """Conformal factor of the line metric, with optional analytic derivatives.
 
-    lam must accept numpy arrays.  When d_lam / d2_lam are omitted the
-    profile differentiates itself by Richardson-extrapolated central
-    differences on the even extension lam(|rho|).
+    lam must accept numpy arrays.  Without d_lam / d2_lam, model_from_profile
+    differentiates log lam itself and fills in log_d1_over_rho.
     """
 
     lam: Callable
@@ -81,51 +82,9 @@ class RadialProfile:
     name: str
     d_lam: Callable | None = None
     d2_lam: Callable | None = None
-    # (log lam)'(rho) / rho with its even limit at rho = 0; supplied in closed
-    # form for built-ins because the Cartesian geodesic equation needs it to
-    # stay regular through the origin.
+    # (log lam)'(rho) / rho with its even limit at rho = 0; the Cartesian
+    # geodesic equation needs it to stay regular through the origin
     log_d1_over_rho: Callable | None = None
-
-    def lam_at(self, rho):
-        return self.lam(np.abs(rho))
-
-    def d1_at(self, rho):
-        if self.d_lam is not None:
-            return np.sign(rho) * self.d_lam(np.abs(rho)) if np.ndim(rho) else (
-                math.copysign(1.0, rho) * float(self.d_lam(abs(rho))))
-        rho_arr = np.asarray(rho, dtype=float)
-        out = np.empty_like(rho_arr)
-        flat = rho_arr.ravel()
-        res = out.ravel()
-        for i, x in enumerate(flat):
-            res[i] = _numdiff.first_derivative(lambda t: float(self.lam(abs(t))), x)
-        return out if np.ndim(rho) else float(out)
-
-    def d2_at(self, rho):
-        if self.d2_lam is not None:
-            return self.d2_lam(np.abs(rho))
-        rho_arr = np.asarray(rho, dtype=float)
-        out = np.empty_like(rho_arr)
-        flat = rho_arr.ravel()
-        res = out.ravel()
-        for i, x in enumerate(flat):
-            res[i] = _numdiff.second_derivative(lambda t: float(self.lam(abs(t))), x)
-        return out if np.ndim(rho) else float(out)
-
-    def log_deriv_over_rho(self, rho):
-        """(log lam)'(rho)/rho, finite at the origin for even profiles."""
-        if self.log_d1_over_rho is not None:
-            return self.log_d1_over_rho(np.abs(rho))
-        rho_arr = np.abs(np.asarray(rho, dtype=float))
-        lam = self.lam(rho_arr)
-        small = rho_arr < 1e-4
-        safe = np.where(small, 1.0, rho_arr)
-        out = self.d1_at(safe) / (self.lam(safe) * safe)
-        if np.any(small):
-            lam0 = float(self.lam(np.asarray(0.0)))
-            limit = float(self.d2_at(0.0)) / lam0
-            out = np.where(small, limit, out)
-        return out if np.ndim(rho) else float(out)
 
 
 @dataclass(frozen=True)
@@ -137,12 +96,12 @@ class RadialKahlerModel:
     kind: str
     r_max: float
     conjugate_radius: float
+    # radial maps on arrays, no domain checks: closed forms or the table
+    f_r_of_rho: Callable
+    f_rho_of_r: Callable
+    f_curvature: Callable                    # H(r)
+    f_hessian: Callable                      # u(r)
     params: tuple = ()
-    # closed-form shortcuts; None means "use the generic numeric route"
-    f_r_of_rho: Callable | None = None
-    f_rho_of_r: Callable | None = None
-    f_curvature: Callable | None = None      # H(r)
-    f_hessian: Callable | None = None        # u(r)
     f_pair_distance: Callable | None = None  # d(p, q), complex args
 
     def __post_init__(self):
@@ -157,8 +116,6 @@ def _flat_model(n: int) -> RadialKahlerModel:
     prof = RadialProfile(
         lam=lambda rho: np.ones_like(np.asarray(rho, dtype=float)),
         rho_max=math.inf, name="flat",
-        d_lam=lambda rho: np.zeros_like(np.asarray(rho, dtype=float)),
-        d2_lam=lambda rho: np.zeros_like(np.asarray(rho, dtype=float)),
         log_d1_over_rho=lambda rho: np.zeros_like(np.asarray(rho, dtype=float)),
     )
     return RadialKahlerModel(
@@ -178,8 +135,6 @@ def _cigar_model(n: int) -> RadialKahlerModel:
 
     prof = RadialProfile(
         lam=lam, rho_max=math.inf, name="cigar",
-        d_lam=lambda rho: -rho * (1.0 + rho ** 2) ** -1.5,
-        d2_lam=lambda rho: (2.0 * rho ** 2 - 1.0) * (1.0 + rho ** 2) ** -2.5,
         log_d1_over_rho=lambda rho: -1.0 / (1.0 + rho ** 2),
     )
     return RadialKahlerModel(
@@ -209,8 +164,6 @@ def _hyperbolic_model(n: int, kappa: float) -> RadialKahlerModel:
 
     prof = RadialProfile(
         lam=lam, rho_max=1.0, name=f"hyperbolic(kappa={kappa:g})",
-        d_lam=lambda rho: 4.0 * rho / (sk * (1.0 - rho ** 2) ** 2),
-        d2_lam=lambda rho: 4.0 * (1.0 + 3.0 * rho ** 2) / (sk * (1.0 - rho ** 2) ** 3),
         log_d1_over_rho=lambda rho: 2.0 / (1.0 - rho ** 2),
     )
     return RadialKahlerModel(
@@ -246,8 +199,6 @@ def _sphere_model(n: int, kappa: float) -> RadialKahlerModel:
 
     prof = RadialProfile(
         lam=lam, rho_max=math.inf, name=f"sphere(kappa={kappa:g})",
-        d_lam=lambda rho: -4.0 * rho / (sk * (1.0 + rho ** 2) ** 2),
-        d2_lam=lambda rho: 4.0 * (3.0 * rho ** 2 - 1.0) / (sk * (1.0 + rho ** 2) ** 3),
         log_d1_over_rho=lambda rho: -2.0 / (1.0 + rho ** 2),
     )
     return RadialKahlerModel(
@@ -297,10 +248,8 @@ def _conformal_poly_model(n: int, coeffs: Sequence[float]) -> RadialKahlerModel:
     )
     r_max = r_of_rho(rho_max - 1e-12) if math.isfinite(rho_max) else math.inf
     return RadialKahlerModel(
-        n=n, profile=prof, kind="conformal_poly", r_max=r_max,
-        conjugate_radius=math.inf, params=tuple(c),
-        f_r_of_rho=r_of_rho,
-    )
+        n=n, kind="conformal_poly", r_max=r_max, conjugate_radius=math.inf,
+        params=tuple(c), **_tabulated_maps(prof, r_of_rho))
 
 
 def builtin_model(tag: str, n: int = 1, *, kappa: float = 1.0,
@@ -327,41 +276,32 @@ def builtin_model(tag: str, n: int = 1, *, kappa: float = 1.0,
 
 
 def model_from_profile(profile: RadialProfile, n: int = 1) -> RadialKahlerModel:
-    """Wrap a bare profile; all radial quantities go through numeric routes.
+    """Wrap a bare profile in the tabulated backend (module docstring).
 
     When the chart is a finite disk the total radius is probed near the
     edge: if the increments keep growing the metric is complete and
     r_max = inf (lam must stay bounded at the edge for a finite answer).
     """
+    maps = _tabulated_maps(profile)
     r_max = math.inf
     if math.isfinite(profile.rho_max):
-        rho_m = profile.rho_max
-        cuts = [rho_m * (1.0 - 10.0 ** (-k)) for k in (4, 6, 8, 10)]
-        total = _quad_distance(profile, cuts[0])
-        incs = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            for a, b in zip(cuts, cuts[1:]):
-                val, _ = integrate.quad(
-                    lambda t: float(profile.lam_at(t)), a, b,
-                    epsabs=1e-12, epsrel=1e-11, limit=200)
-                incs.append(val)
-                total += val
+        cuts = profile.rho_max * (1.0 - 10.0 ** -np.arange(4.0, 11.0, 2.0))
+        r_cut = maps["f_r_of_rho"](cuts)
+        incs = np.diff(r_cut)
         # bounded lam: increments fall two decades per probe; any kind of
         # edge blowup keeps them flat or growing
-        if incs[-1] < 0.05 * incs[-2] and incs[-1] < 1e-3 * (1.0 + total):
-            r_max = total
-    return RadialKahlerModel(
-        n=n, profile=profile, kind="custom", r_max=r_max,
-        conjugate_radius=math.inf,
-    )
+        if incs[-1] < 0.05 * incs[-2] and incs[-1] < 1e-3 * (1.0 + r_cut[-1]):
+            r_max = float(r_cut[-1])
+    return RadialKahlerModel(n=n, kind="custom", r_max=r_max,
+                             conjugate_radius=math.inf, **maps)
 
 
 def load_profile_table(path: str) -> RadialProfile:
     """Profile from a two-column text table with header '# rho lambda'.
 
     rho must start at 0 and be strictly increasing; lambda must be positive.
-    Interpolation is a cubic spline with even symmetry at rho = 0.
+    Interpolation is a cubic spline with even symmetry at rho = 0, and the
+    spline's own derivatives serve as d_lam and d2_lam.
     """
     from scipy.interpolate import CubicSpline
 
@@ -379,139 +319,187 @@ def load_profile_table(path: str) -> RadialProfile:
     if np.any(lam <= 0):
         raise DomainError("table lambda column must be positive")
     spline = CubicSpline(rho, lam, bc_type=((1, 0.0), "not-a-knot"))
-    return RadialProfile(
-        lam=lambda x: spline(np.clip(x, 0.0, rho[-1])),
-        rho_max=float(rho[-1]), name="table",
-    )
+
+    def clipped(nu):
+        return lambda x: spline(np.clip(x, 0.0, rho[-1]), nu)
+
+    return RadialProfile(lam=clipped(0), rho_max=float(rho[-1]), name="table",
+                         d_lam=clipped(1), d2_lam=clipped(2))
 
 
 # ---------------------------------------------------------------------------
-# radial coordinates
+# tabulated backend for profiles without closed forms
 
-def _quad_distance(profile: RadialProfile, rho: float) -> float:
-    val, err = integrate.quad(lambda t: float(profile.lam(np.asarray(t))),
-                              0.0, rho, epsabs=1e-10, epsrel=1e-11, limit=200)
-    return val
+_PER_OCTAVE = 2    # knots per octave of rho
+_DEEP = 20         # octaves of rho below 1 (below rho_max on a disk)
+_EDGE = 48         # halvings of rho_max - rho toward a finite chart edge
+_FAR = 256         # octaves of rho above 1 on an infinite chart
+_CHEB = 24         # Chebyshev points per panel of G(s)
+# the first G panel is [0, _G_FIRST min(1, s_max)]: narrower panels near
+# s = 0 would lose G' to the rounding of lam
+_G_FIRST = 2.0 ** -8
+_XG, _WG = np.polynomial.legendre.leggauss(10)
+
+
+def _graded(rho_max: float) -> np.ndarray:
+    """Knots on [0, rho_max): octaves of rho, then rho_max (1 - 2^-k)."""
+    per = _PER_OCTAVE
+    if math.isfinite(rho_max):
+        down = 2.0 ** -(np.arange(_DEEP * per, per - 1, -1) / per)
+        up = 1.0 - 2.0 ** -np.arange(2.0, _EDGE + 1)
+        return rho_max * np.concatenate([[0.0], down, up])
+    return np.concatenate(
+        [[0.0], 2.0 ** (np.arange(-_DEEP * per, _FAR * per + 1) / per)])
+
+
+def _gauss(lam: Callable, a, b):
+    """int_a^b lam by the fixed Gauss-Legendre rule, elementwise."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[..., None] + half[..., None] * _XG
+    return half * (lam(x) @ _WG)
+
+
+def _chart(lam: Callable, knots: np.ndarray, exact: Callable | None):
+    """r(rho) and its inverse from one table of r at the knots.
+
+    Without a closed form (exact), panels are integrated by the Gauss-
+    Legendre rule and a point adds its partial panel.  The table ends where
+    lam or r stops being finite or r stops increasing; rho(r) beyond it
+    raises DomainError.
+    """
+    with np.errstate(all="ignore"):
+        lam_k = lam(knots)
+        r_k = exact(knots) if exact is not None else np.concatenate(
+            [[0.0], np.cumsum(_gauss(lam, knots[:-1], knots[1:]))])
+        ok = np.isfinite(r_k) & np.isfinite(lam_k) & (lam_k > 0)
+        ok[1:] &= np.diff(r_k) > 0
+    n = ok.size if ok.all() else int(np.argmin(ok))
+    if n < 2:
+        raise DomainError("lam must be positive and finite near rho = 0")
+    knots, r_k, lam_k = knots[:n], r_k[:n], lam_k[:n]
+    # searching the inner knots gives the panel index, clipped to [0, n - 2]
+    inner_rho, inner_r = knots[1:-1], r_k[1:-1]
+
+    def r_of_rho(rho):
+        if exact is not None:
+            return exact(rho)
+        j = np.searchsorted(inner_rho, rho, "right")
+        return r_k[j] + _gauss(lam, knots[j], rho)
+
+    def rho_of_r(r):
+        if np.any(r > r_k[-1]):
+            raise DomainError(f"r = {np.max(r):g} lies beyond the tabulated "
+                              f"chart, which ends at r = {r_k[-1]:g}")
+        j = np.searchsorted(inner_r, r, "right")
+        lo, hi, h = knots[j], knots[j + 1], r_k[j + 1] - r_k[j]
+        t = (r - r_k[j]) / h
+        # cubic Hermite in r with slopes drho/dr = 1/lam, then Newton steps
+        # kept inside the panel (three suffice in practice; eight at most)
+        rho = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * lo
+               + t * t * (3.0 - 2.0 * t) * hi
+               + h * t * (1.0 - t) * ((1.0 - t) / lam_k[j] - t / lam_k[j + 1]))
+        for _ in range(8):
+            step = (r_of_rho(rho) - r) / lam(rho)
+            rho = np.minimum(np.maximum(rho - step, lo), hi)
+            if np.all(np.abs(step) <= 2e-15 * rho):
+                break
+        return rho
+
+    return r_of_rho, rho_of_r
+
+
+def _g_panels(lam: Callable, knots: np.ndarray) -> Callable:
+    """rho -> ((log lam)'/rho, Delta_0 log lam) = (2 G', 4 (G' + s G'')).
+
+    G(s) = log lam(sqrt s), s = rho^2, is interpolated between squared knots
+    (from _G_FIRST up) at Chebyshev points of the first kind, relative to
+    each panel's first sample so that rounding in a large log lam stays out
+    of G' and G''.
+    """
+    edges = knots ** 2
+    edges = np.append(0.0, edges[edges >= _G_FIRST * min(1.0, edges[-1])])
+    inner = edges[1:-1]
+    a, b = edges[:-1, None], edges[1:, None]
+    x = np.polynomial.chebyshev.chebpts1(_CHEB)
+    with np.errstate(all="ignore"):
+        lam_s = lam(np.sqrt(0.5 * (a + b) + 0.5 * (b - a) * x))
+        g = np.log(lam_s / lam_s[:, :1])
+    # c_k = (2 - [k = 0]) / N sum_j g_j T_k(x_j) at first-kind points
+    coef = g @ np.polynomial.chebyshev.chebvander(x, _CHEB - 1) * (2.0 / _CHEB)
+    coef[:, 0] *= 0.5
+    scale = 2.0 / (b - a)
+    d1 = np.polynomial.chebyshev.chebder(coef, 1, axis=1) * scale
+    d2 = np.polynomial.chebyshev.chebder(coef, 2, axis=1) * scale ** 2
+    k = np.arange(_CHEB - 1)
+
+    def derivs(rho):
+        s = rho * rho
+        j = np.searchsorted(inner, s, "right")
+        t = (2.0 * s - edges[j] - edges[j + 1]) / (edges[j + 1] - edges[j])
+        t = np.minimum(np.maximum(t, -1.0), 1.0)
+        cheb_t = np.cos(np.arccos(t)[..., None] * k)
+        g1 = (d1[j] * cheb_t).sum(-1)
+        return 2.0 * g1, 4.0 * (g1 + s * (d2[j] * cheb_t[..., :-1]).sum(-1))
+
+    return derivs
+
+
+def _tabulated_maps(profile: RadialProfile, exact: Callable | None = None):
+    """Model fields for a profile without closed-form radial maps.
+
+    H = -Delta_0 log lam / lam^2 and u = (1 + rho^2 (log lam)'/rho) /
+    (2 lam rho) at rho = rho(r), from d_lam and d2_lam when the profile has
+    them ((log lam)'/rho -> lam''(0)/lam(0) at 0), else from the G panels.
+    The returned profile carries (log lam)'/rho for geodesic circles.
+    """
+    lam, d1, d2 = profile.lam, profile.d_lam, profile.d2_lam
+    knots = _graded(profile.rho_max)
+    r_of_rho, rho_of_r = _chart(lam, knots, exact)
+    if d1 is not None and d2 is not None:
+        def derivs(rho):
+            lv, pos = lam(rho), rho > 0
+            l1, l2 = d1(rho) / lv, d2(rho) / lv
+            over = np.where(pos, l1 / np.where(pos, rho, 1.0), l2)
+            return over, l2 - l1 ** 2 + over
+    else:
+        derivs = _g_panels(lam, knots)
+
+    def curvature(r):
+        rho = rho_of_r(r)
+        return -derivs(rho)[1] / lam(rho) ** 2
+
+    def hessian(r):
+        rho = rho_of_r(r)
+        return (1.0 + rho * rho * derivs(rho)[0]) / (2.0 * lam(rho) * rho)
+
+    over_rho = profile.log_d1_over_rho or (lambda rho: derivs(rho)[0])
+    return dict(profile=replace(profile, log_d1_over_rho=over_rho),
+                f_r_of_rho=r_of_rho, f_rho_of_r=rho_of_r,
+                f_curvature=curvature, f_hessian=hessian)
+
+
+# ---------------------------------------------------------------------------
+# radial maps
+
+def _shaped(out, like):
+    return float(out) if np.ndim(like) == 0 else np.asarray(out, dtype=float)
 
 
 def distance_from_origin(model: RadialKahlerModel, rho) -> float:
-    """Geodesic radius r(rho); adaptive quadrature when no closed form."""
+    """Geodesic radius r(rho): closed form, or table plus a partial panel."""
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0) or np.any(rho_arr >= model.profile.rho_max):
         raise DomainError(
             f"rho must lie in [0, {model.profile.rho_max}), got {rho}")
-    if model.f_r_of_rho is not None:
-        out = model.f_r_of_rho(rho_arr)
-        return float(out) if np.ndim(rho) == 0 else np.asarray(out, dtype=float)
-    if np.ndim(rho) == 0:
-        return _quad_distance(model.profile, float(rho_arr))
-    return np.array([_quad_distance(model.profile, x) for x in rho_arr])
+    return _shaped(model.f_r_of_rho(rho_arr), rho)
 
 
 def rho_of_r(model: RadialKahlerModel, r):
-    """Invert r(rho) to chart radius; bracketing plus Newton polish."""
+    """Invert r(rho): closed form, or table Hermite guess and Newton steps."""
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0) or np.any(r_arr >= model.r_max):
         raise DomainError(f"r must lie in [0, {model.r_max}), got {r}")
-    if model.f_rho_of_r is not None:
-        out = model.f_rho_of_r(r_arr)
-        return float(out) if np.ndim(r) == 0 else np.asarray(out, dtype=float)
-
-    def invert_one(rv: float) -> float:
-        if rv == 0.0:
-            return 0.0
-        hi = 0.5 * model.profile.rho_max if math.isfinite(
-            model.profile.rho_max) else 1.0
-        while _quad_distance(model.profile, hi) < rv:
-            nxt = (hi + model.profile.rho_max) / 2 if math.isfinite(
-                model.profile.rho_max) else hi * 2.0
-            if nxt == hi:
-                raise DomainError(f"radius r={rv} not reachable in the chart")
-            hi = nxt
-        root = optimize.brentq(
-            lambda x: _quad_distance(model.profile, x) - rv, 0.0, hi,
-            xtol=1e-13, rtol=8.9e-16)
-        # Newton polish: dr/drho = lam
-        for _ in range(2):
-            root -= (_quad_distance(model.profile, root) - rv) / float(
-                model.profile.lam_at(root))
-        return root
-
-    if np.ndim(r) == 0:
-        return invert_one(float(r_arr))
-    return np.array([invert_one(x) for x in r_arr])
-
-
-# ---------------------------------------------------------------------------
-# curvature
-
-def _curvature_from_profile(profile: RadialProfile, rho):
-    """H = -(1/lam^2) ((log lam)'' + (log lam)'/rho) from profile derivatives."""
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    lam = np.asarray(profile.lam(rho_arr), dtype=float)
-    if profile.d_lam is not None and profile.d2_lam is not None:
-        d1 = np.asarray(profile.d_lam(rho_arr), dtype=float)
-        d2 = np.asarray(profile.d2_lam(rho_arr), dtype=float)
-        l1 = d1 / lam                       # (log lam)'
-        l2 = d2 / lam - l1 ** 2             # (log lam)''
-        small = rho_arr < _ORIGIN_RHO
-        ratio = np.where(small, l2, l1 / np.where(small, 1.0, rho_arr))
-        lap = l2 + ratio
-        out = -lap / lam ** 2
-    else:
-        out = np.array([_numeric_curvature(profile, x) for x in rho_arr])
-    return out[0] if np.ndim(rho) == 0 else out
-
-
-def _numeric_curvature(profile: RadialProfile, rho: float) -> float:
-    """Differentiate log lam in s = rho^2; regular at the origin.
-
-    Delta_0 log lam = 4 G'(s) + 4 s G''(s) with G(s) = log lam(sqrt(s)).
-    Away from the origin the stencil runs in eta = log s, where the
-    identity collapses to 4 G_eta_eta / s; near a finite chart edge it
-    runs in zeta = log(rho_max^2 - s) instead.  Either way the step
-    stays a fixed multiplicative distance from the profile's singular
-    points, so complete metrics (lam blowing up at the edge) still give
-    six to eight correct digits.  Near s = 0 a one-sided cubic fit in s
-    replaces the centered stencils (the profile only exists for
-    rho >= 0).
-    """
-    def G(s: float) -> float:
-        return math.log(float(profile.lam_at(math.sqrt(max(s, 0.0)))))
-
-    s = rho * rho
-    s_edge = (profile.rho_max ** 2 if math.isfinite(profile.rho_max)
-              else math.inf)
-    delta = 2e-2  # log-coordinate step
-    if s < 1e-3:
-        hs = 4e-4  # s-step of the origin fit, rho-step 0.02
-        g0 = G(0.0)
-        a = np.array([G(k * hs) - g0 for k in (1, 2, 3)])
-        vand = np.array([[(k * hs) ** j for j in (1, 2, 3)] for k in (1, 2, 3)])
-        g123 = np.linalg.solve(vand, a)
-        gp = g123[0] + 2.0 * g123[1] * s + 3.0 * g123[2] * s * s
-        gpp = 2.0 * g123[1] + 6.0 * g123[2] * s
-        lap = 4.0 * gp + 4.0 * s * gpp
-    elif s > 0.6 * s_edge:
-        q = s_edge - s
-
-        def Gz(z: float) -> float:
-            return G(s_edge - math.exp(z))
-
-        z0 = math.log(q)
-        d1 = _numdiff.first_derivative(Gz, z0, h=delta)
-        d2 = _numdiff.second_derivative(Gz, z0, h=delta)
-        gp = -d1 / q
-        gpp = (d2 - d1) / q ** 2
-        lap = 4.0 * gp + 4.0 * s * gpp
-    else:
-        def Ge(e: float) -> float:
-            return G(math.exp(e))
-
-        d2 = _numdiff.second_derivative(Ge, math.log(s), h=delta)
-        lap = 4.0 * d2 / s
-    lam = float(profile.lam_at(rho))
-    return -lap / lam ** 2
+    return _shaped(model.f_rho_of_r(r_arr), r)
 
 
 def radial_curvature(model: RadialKahlerModel, r):
@@ -519,25 +507,13 @@ def radial_curvature(model: RadialKahlerModel, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0) or np.any(r_arr >= model.r_max):
         raise DomainError(f"radial_curvature needs 0 < r < r_max, got {r}")
-    if model.f_curvature is not None:
-        out = model.f_curvature(r_arr)
-        return float(out) if np.ndim(r) == 0 else np.asarray(out, dtype=float)
-    return _curvature_from_profile(model.profile, rho_of_r(model, r_arr))
+    return _shaped(model.f_curvature(r_arr), r)
 
 
 def curvature_at_origin(model: RadialKahlerModel) -> float:
     """H(0) = -2 (log lam)''(0) / lam(0)^2, the r -> 0 limit of H."""
-    if model.f_curvature is not None:
-        return float(model.f_curvature(np.asarray(1e-9)))
-    prof = model.profile
-    lam0 = float(prof.lam(np.asarray(0.0)))
-    if prof.d2_lam is not None:
-        return -2.0 * float(prof.d2_lam(np.asarray(0.0))) / lam0 ** 3
-    return _numeric_curvature(prof, 0.0)
+    return float(model.f_curvature(np.asarray(0.0)))
 
-
-# ---------------------------------------------------------------------------
-# model Hessian
 
 def model_hessian(model: RadialKahlerModel, r):
     """u(r) = J'(r)/(2 J(r)) with J = lam(rho) rho.
@@ -555,15 +531,7 @@ def model_hessian(model: RadialKahlerModel, r):
             f"requested r = {r}")
     if np.any(r_arr >= model.r_max):
         raise DomainError(f"model_hessian needs r < r_max = {model.r_max}")
-    if model.f_hessian is not None:
-        out = model.f_hessian(r_arr)
-        return float(out) if np.ndim(r) == 0 else np.asarray(out, dtype=float)
-    rho = np.asarray(rho_of_r(model, r_arr), dtype=float)
-    prof = model.profile
-    lam = np.asarray(prof.lam(rho), dtype=float)
-    jprime = 1.0 + rho ** 2 * np.asarray(prof.log_deriv_over_rho(rho), dtype=float)
-    out = jprime / (2.0 * lam * rho)
-    return float(out) if np.ndim(r) == 0 else out
+    return _shaped(model.f_hessian(r_arr), r)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +547,9 @@ def pair_distances(model: RadialKahlerModel, ps, qs,
     "closed", or "shoot" (Clairaut quadrature for any profile).  Pairs on
     one ray or through the origin take |r_p - r_q|; the others are posed
     as (rho_lo, rho_hi, |dtheta|), so d(p, q) = d(q, p) exactly, and arcs
-    are searched out to geodesic radius max(r_p, r_q) + 1.
+    are searched out to geodesic radius max(r_p, r_q) + 1.  Where the chart
+    edge closes to a point at r_max (the sphere's far pole), antipodal
+    pairs also take the path through it, 2 r_max - r_p - r_q.
     """
     p = np.atleast_1d(np.asarray(ps, dtype=complex))
     q = np.atleast_1d(np.asarray(qs, dtype=complex))
@@ -610,6 +580,12 @@ def pair_distances(model: RadialKahlerModel, ps, qs,
             model.profile, np.abs(a[swept]), np.abs(b[swept]), dth[swept],
             r_a[swept], r_b[swept],
             np.asarray(rho_of_r(model, r_cap), dtype=float))
+    if math.isfinite(model.r_max) and model.conjugate_radius == model.r_max:
+        # the chart edge closes to a point: at dtheta = pi the broken radial
+        # path through it competes with the one through the origin
+        pole = dth >= math.pi - 1e-9
+        out[pole] = np.minimum(out[pole],
+                               2.0 * model.r_max - r_a[pole] - r_b[pole])
     return out.reshape(p.shape)
 
 

@@ -1,10 +1,12 @@
 """End-to-end tests for the lab command line runner."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from growthlab import comparison_ode
 from growthlab.cli import main, parse_complex, parse_function, parse_radii
 from growthlab.errors import DomainError
 
@@ -174,6 +176,24 @@ def test_json_report_contents(tmp_path):
     assert check["tolerance"] == 1e-6
     assert "min_second_difference" in check["witness"]
     assert rep["elapsed_s"] >= 0
+
+
+def test_three_circle_table_model_auto_h(tmp_path):
+    # auto h on a spline-table model: solve_convexifier evaluates the
+    # table's u once per right-hand side call, so u must be cheap
+    table = Path(__file__).resolve().parents[1] / "perfbench" / "cigar_61.txt"
+    path = tmp_path / "r.json"
+    code = main(["three-circle", "--model", "table", "--table", str(table),
+                 "--f", "z+z^3", "--radii", "0.2:1.5:6", "--json", str(path)])
+    assert code == 0
+    (check,) = json.loads(path.read_text())["checks"]
+    assert check["verdict"] == "pass"
+
+
+def test_evaluation_budget_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(comparison_ode, "_MAX_RHS", 10)
+    assert main(["ode", "--g", "constant", "--c", "0", "--r-end", "20"]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_curvature_table(tmp_path):

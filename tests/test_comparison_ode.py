@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 
 from growthlab import (
     BlowDownError,
+    BudgetError,
     DomainError,
+    RadialProfile,
     builtin_model,
     closed_form_convexifier,
     closed_form_supersolution,
     curvature_bound,
     growth_exponent,
     make_supersolution,
+    model_from_profile,
     model_hessian,
     radial_curvature,
     solve_convexifier,
     solve_riccati_equality,
     verify_supersolution,
 )
+from growthlab import comparison_ode
 
 EQUALITY_CATALOG = [
     # tag, matching constant bound c (None = cigar bound), closed-form u and h
@@ -260,6 +264,34 @@ def test_equality_solution_matches_model_hessian(name):
     got = un(grid)
     want = model_hessian(model, grid)
     assert np.max(np.abs(got - want)) <= 1e-6
+
+
+def test_equality_solution_on_bare_cigar_curvature():
+    # the bare profile's curvature must be smooth enough for the Riccati
+    # solve to finish quickly and reproduce the cigar's closed-form u
+    cigar = builtin_model("cigar").profile
+    bare = model_from_profile(RadialProfile(lam=cigar.lam, rho_max=math.inf,
+                                            name="bare"))
+    calls = 0
+
+    def g(r):
+        nonlocal calls
+        calls += 1
+        return radial_curvature(bare, r)
+
+    un = solve_riccati_equality(curvature_bound("custom", g=g), r_end=5.0)
+    grid = np.linspace(0.05, 5.0, 120)
+    assert np.max(np.abs(un(grid) - 1.0 / np.sinh(2.0 * grid))) <= 1e-8
+    assert calls < 5000
+
+
+def test_evaluation_budget_raises(monkeypatch):
+    monkeypatch.setattr(comparison_ode, "_MAX_RHS", 10)
+    with pytest.raises(BudgetError, match="Riccati solve"):
+        solve_riccati_equality(curvature_bound("constant", c=-1.0), r_end=5.0)
+    with pytest.raises(BudgetError, match="convexifier"):
+        solve_convexifier(closed_form_supersolution("lower_bound_minus_one"),
+                          r_end=5.0)
 
 
 @pytest.mark.parametrize("name,c", [

@@ -101,6 +101,21 @@ def test_sphere_past_equator_matches_closed():
     assert np.max(np.abs(d - sphere_dist(ps, qs))) <= 1e-6
 
 
+def test_sphere_antipodal_through_far_pole():
+    # at dtheta = pi with r_p + r_q > pi the shortest path runs through the
+    # far pole, 2 pi - r_p - r_q, not through the origin
+    rng = np.random.default_rng(109)
+    m = builtin_model("sphere")
+    rr = rng.uniform(0.05, 3.0, size=(2, 40))
+    ps = np.tan(rr[0] / 2).astype(complex)
+    qs = -np.tan(rr[1] / 2).astype(complex)
+    d = pair_distances(m, ps, qs, method="shoot")
+    assert np.max(np.abs(d - sphere_dist(ps, qs))) <= 1e-8
+    d = geodesic_distance(m, math.tan(0.419 / 2), -math.tan(1.5),
+                          method="shoot")
+    assert abs(d - (2 * math.pi - 3.419)) <= 1e-8
+
+
 def test_shoot_accuracy_against_closed_forms():
     rng = np.random.default_rng(108)
     for tag, ref, hi in (("flat", flat_dist, 2.5),

@@ -19,7 +19,7 @@ from growthlab import (
     radial_curvature,
     rho_of_r,
 )
-from growthlab import _numdiff
+from growthlab import _numdiff, radial_metric
 
 
 def all_models():
@@ -159,6 +159,55 @@ def test_curvature_numeric_profile_oracle(name, exact):
     rs = r_grid(full)
     err = np.abs(radial_curvature(m, rs) - exact(rs))
     assert np.max(err) <= 1e-6
+
+
+def test_bare_cigar_matches_builtin():
+    # generic routes against closed forms on the same geometry, on the
+    # 100 geometric radii of the benchmark's gate (H 3.55e-9, u 8.5e-12)
+    cigar = builtin_model("cigar")
+    bare = model_from_profile(RadialProfile(
+        lam=cigar.profile.lam, rho_max=cigar.profile.rho_max, name="bare"))
+    rs = np.geomspace(0.05, 5.0, 100)
+    assert np.max(np.abs(radial_curvature(bare, rs)
+                         - 2.0 / np.cosh(rs) ** 2)) <= 3.5e-9
+    assert np.max(np.abs(model_hessian(bare, rs)
+                         - 1.0 / np.sinh(2.0 * rs))) <= 1e-12
+    assert np.max(np.abs(rho_of_r(bare, rs) / np.sinh(rs) - 1.0)) <= 1e-14
+
+
+def test_generic_routes_need_no_quadrature(tmp_path, monkeypatch):
+    # every model without closed forms is tabulated when it is built;
+    # afterwards no adaptive quadrature, root bracketing or finite
+    # differences may run
+    rho = np.linspace(0.0, 6.0, 61)
+    path = tmp_path / "cigar.txt"
+    np.savetxt(path, np.column_stack([rho, 1.0 / np.sqrt(1.0 + rho ** 2)]),
+               header="rho lambda")
+    cigar = builtin_model("cigar").profile
+    models = [
+        model_from_profile(RadialProfile(lam=cigar.lam, rho_max=math.inf,
+                                         name="bare")),
+        model_from_profile(load_profile_table(str(path))),
+        builtin_model("conformal_poly", coeffs=[1.0, 0.5, 0.25]),
+        builtin_model("conformal_poly", coeffs=[1.0, -0.5]),
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called after the model was built")
+
+    monkeypatch.setattr(radial_metric.integrate, "quad", forbidden)
+    monkeypatch.setattr(radial_metric.optimize, "brentq", forbidden)
+    monkeypatch.setattr(radial_metric._numdiff, "first_derivative", forbidden)
+    monkeypatch.setattr(radial_metric._numdiff, "second_derivative",
+                        forbidden)
+    for m in models:
+        rs = np.linspace(0.1, min(4.0, 0.9 * m.r_max), 9)
+        rho = rho_of_r(m, rs)
+        assert np.allclose(distance_from_origin(m, rho), rs, rtol=1e-12)
+        assert np.all(np.isfinite(radial_curvature(m, rs)))
+        assert np.all(np.isfinite(model_hessian(m, rs)))
+        assert math.isfinite(rho_of_r(m, 0.5))
+        assert math.isfinite(curvature_at_origin(m))
 
 
 def test_conformal_poly_curvature_consistency():
