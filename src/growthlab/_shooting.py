@@ -24,7 +24,9 @@ Two tools are used:
   F = (log lam)'(rho)/rho, which is regular through the origin because lam
   is even.  It drives exponential-map circles about off-center points
   through one vectorized Cash-Karp RKF45 stepper with per-member adaptive
-  steps, so a batch of launch angles costs one pass.
+  steps, so a batch of launch angles costs one pass, and circles of
+  several radii about one center share it: the pass stops at each radius
+  in turn.
 """
 from __future__ import annotations
 
@@ -49,59 +51,63 @@ _B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 _BE = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 
-def integrate_batch(rhs: Callable, y0: np.ndarray, t_end,
+def integrate_batch(rhs: Callable, y0: np.ndarray, stops,
                     rtol: float = 1e-10, atol: float = 1e-12,
                     h0: float | None = None, max_sweeps: int = 20000):
-    """March y' = rhs(y) from t = 0 to per-member t_end.
+    """March y' = rhs(y) from t = 0 through the increasing times stops.
 
     y0 has shape (k, N): k state components for N independent members.
     rhs must be autonomous and vectorized over the member axis.  Returns
-    (y_final, ok_mask).  Members whose step size underflows are flagged
-    and left frozen.
+    (ys, ok_mask) with ys[s] the state at stops[s], shape (S, k, N).  Each
+    member carries its step size from one stop into the next.  Members
+    whose step size underflows are flagged and left frozen.
     """
     y = np.array(y0, copy=True)
     n = y.shape[1]
-    t_end = np.broadcast_to(np.asarray(t_end, dtype=float), (n,)).copy()
+    stops = np.atleast_1d(np.asarray(stops, dtype=float))
+    ys = np.empty((stops.size,) + y.shape, dtype=y.dtype)
     t = np.zeros(n)
-    h = np.full(n, h0 if h0 is not None else 1e-3 * np.max(t_end))
-    h = np.minimum(h, t_end)
+    h = np.full(n, h0 if h0 is not None else 1e-3 * stops[-1])
     ok = np.ones(n, dtype=bool)
-    active = t < t_end
     sweeps = 0
-    while np.any(active):
-        sweeps += 1
-        if sweeps > max_sweeps:
-            ok &= ~active
-            break
-        ha = np.where(active, h, 0.0)
-        ks = []
-        for stage in range(6):
-            yst = y.copy()
-            for j, a in enumerate(_A[stage]):
-                yst += (a * ha) * ks[j]
-            ks.append(rhs(yst))
-        ynew = y.copy()
-        err = np.zeros_like(y)
-        for j in range(6):
-            ynew += (_B5[j] * ha) * ks[j]
-            if _BE[j] != 0.0:
-                err += (_BE[j] * ha) * ks[j]
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
-        enorm = np.max(np.abs(err) / scale, axis=0)
-        enorm = np.where(np.isfinite(enorm), enorm, np.inf)
-        accept = active & (enorm <= 1.0)
-        y = np.where(accept, ynew, y)
-        t = np.where(accept, t + ha, t)
-        grow = 0.9 * np.power(np.maximum(enorm, 1e-16), -0.2)
-        shrink = 0.9 * np.power(np.maximum(enorm, 1e-16), -0.25)
-        fac = np.where(enorm <= 1.0, np.minimum(grow, 5.0),
-                       np.maximum(shrink, 0.2))
-        h = np.where(active, h * fac, h)
-        dead = active & (h < 1e-14) & (enorm > 1.0)
-        ok &= ~dead
-        active = (t < t_end * (1 - 1e-15)) & ~dead & ok
+    for s, t_end in enumerate(stops):
+        active = ok & (t < t_end * (1 - 1e-15))
         h = np.where(active, np.minimum(h, t_end - t), h)
-    return y, ok
+        while np.any(active):
+            sweeps += 1
+            if sweeps > max_sweeps:
+                ok &= ~active
+                break
+            ha = np.where(active, h, 0.0)
+            ks = []
+            for stage in range(6):
+                yst = y.copy()
+                for j, a in enumerate(_A[stage]):
+                    yst += (a * ha) * ks[j]
+                ks.append(rhs(yst))
+            ynew = y.copy()
+            err = np.zeros_like(y)
+            for j in range(6):
+                ynew += (_B5[j] * ha) * ks[j]
+                if _BE[j] != 0.0:
+                    err += (_BE[j] * ha) * ks[j]
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
+            enorm = np.max(np.abs(err) / scale, axis=0)
+            enorm = np.where(np.isfinite(enorm), enorm, np.inf)
+            accept = active & (enorm <= 1.0)
+            y = np.where(accept, ynew, y)
+            t = np.where(accept, t + ha, t)
+            grow = 0.9 * np.power(np.maximum(enorm, 1e-16), -0.2)
+            shrink = 0.9 * np.power(np.maximum(enorm, 1e-16), -0.25)
+            fac = np.where(enorm <= 1.0, np.minimum(grow, 5.0),
+                           np.maximum(shrink, 0.2))
+            h = np.where(active, h * fac, h)
+            dead = active & (h < 1e-14) & (enorm > 1.0)
+            ok &= ~dead
+            active = (t < t_end * (1 - 1e-15)) & ~dead & ok
+            h = np.where(active, np.minimum(h, t_end - t), h)
+        ys[s] = y
+    return ys, ok
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +189,8 @@ def connect_lengths(profile, rho_p, rho_q, dtheta, r_p, r_q,
     shortest arc wins; at dtheta = pi the broken radial path through the
     origin (r_p + r_q) competes too.  Arcs without a turn are found on
     both sides when they have both turning points; each side is accurate
-    where the other end is far from its second turning point.
+    where the other end is far from its second turning point.  A pair that
+    no arc connects reads inf.
     """
     lam = profile.lam
     rho_p, rho_q, dtheta, r_p, r_q, rho_cap = (
@@ -238,10 +245,6 @@ def connect_lengths(profile, rho_p, rho_q, dtheta, r_p, r_q,
     bi, bs, bk = np.nonzero(bracket)
     ua, ub = u_path[bk], u_path[bk + 1]
     fa, fb = fa[bracket], fb[bracket]
-    found = np.isfinite(best)
-    found[bi] = True
-    if not np.all(found):
-        fail("no bracket", np.argmin(found))
 
     # bracketed Illinois iteration on all brackets at once
     active = np.ones(bi.size, dtype=bool)
@@ -266,8 +269,6 @@ def connect_lengths(profile, rho_p, rho_q, dtheta, r_p, r_q,
     if np.any(active):
         fail(f"Illinois iteration cap {_MAX_ITER} reached",
              bi[np.argmax(active)])
-    if not np.all(np.isfinite(best)):
-        fail("no connecting geodesic", np.argmin(np.isfinite(best)))
     return best
 
 
@@ -286,42 +287,57 @@ def _cartesian_rhs(profile):
     return rhs
 
 
-def exp_circle_points(profile, rho0: float, length: float,
-                      phis: np.ndarray, rtol: float = 1e-11) -> np.ndarray:
-    """Endpoints of geodesics from (rho0, 0) with launch angles phis."""
+def exp_circle_points(profile, rho0: float, lengths, phis: np.ndarray,
+                      rtol: float = 1e-11) -> np.ndarray:
+    """Endpoints of geodesics from (rho0, 0) with launch angles phis.
+
+    lengths increase; row s of the result holds the endpoints at
+    lengths[s], all from one integration.
+    """
     lam0 = float(profile.lam(np.asarray(rho0)))
     n = phis.size
     z0 = np.full(n, rho0, dtype=complex)
     v0 = np.exp(1j * phis) / lam0
     y0 = np.stack([z0, v0])
-    y, ok = integrate_batch(_cartesian_rhs(profile), y0, float(length),
-                            rtol=rtol, atol=1e-13, h0=length * 1e-3)
+    lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
+    ys, ok = integrate_batch(_cartesian_rhs(profile), y0, lengths,
+                             rtol=rtol, atol=1e-13, h0=lengths[0] * 1e-3)
     if not np.all(ok):
         raise ShootingError("exponential map integration failed")
-    return y[0]
+    return ys[:, 0]
 
 
-def circle_interpolator(profile, center: complex, r: float,
+def circle_interpolator(profile, center: complex, r,
                         n_base: int = 1024) -> Callable:
-    """phi -> z(phi) on the geodesic circle of radius r about center.
+    """phi -> z(phi) on the geodesic circles of radius r about center.
 
-    One batched integration over n_base launch angles, then periodic cubic
-    splines in phi.  phi = 0 launches away from the origin.
+    r is a radius or a 1-d array of them; z(phi) has shape
+    r.shape + phi.shape.  The chart is rotated to put the center on the
+    positive axis, where lam depending on |z| only makes each circle
+    symmetric under conjugation, z(-phi) = conj z(phi).  So only the
+    n_base // 2 + 1 launch angles in [0, pi] are integrated, once, through
+    every radius in increasing order; the rest are mirrored.  Periodic
+    cubic splines in phi interpolate the n_base points of each circle.
+    phi = 0 launches away from the origin.
     """
     from scipy.interpolate import CubicSpline
 
     a = abs(center)
-    rot = center / a
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    order = np.argsort(radii)
+    half = n_base // 2
     phis = np.linspace(0.0, 2.0 * math.pi, n_base, endpoint=False)
-    pts = exp_circle_points(profile, a, r, phis) * rot
-    phi_ext = np.concatenate([phis, [2.0 * math.pi]])
-    re = CubicSpline(phi_ext, np.concatenate([pts.real, [pts.real[0]]]),
-                     bc_type="periodic")
-    im = CubicSpline(phi_ext, np.concatenate([pts.imag, [pts.imag[0]]]),
-                     bc_type="periodic")
+    pts = np.empty((radii.size, n_base + 1), dtype=complex)
+    pts[order, :half + 1] = exp_circle_points(profile, a, radii[order],
+                                              phis[:half + 1])
+    pts[:, half + 1:n_base] = np.conj(pts[:, n_base - half - 1:0:-1])
+    pts[:, n_base] = pts[:, 0]
+    spline = CubicSpline(np.append(phis, 2.0 * math.pi), pts * (center / a),
+                         axis=1, bc_type="periodic")
+    shape = np.shape(r)
 
     def at(phi):
-        ph = np.mod(phi, 2.0 * math.pi)
-        return re(ph) + 1j * im(ph)
+        return spline(np.mod(phi, 2.0 * math.pi)).reshape(
+            shape + np.shape(phi))
 
     return at

@@ -11,10 +11,19 @@ Core predicate battery:
   * cone_exponent           alpha <-> alpha (m + alpha - 2) on metric cones
 
 Maximal moduli over geodesic balls reduce to geodesic spheres (|f| is
-plurisubharmonic, so the maximum sits on the boundary).  Monomials
-centered at the origin have a closed form; everything else is dense
-angular sampling plus a local refinement pass.  Off-center balls are
-supported for n = 1 only, where the geodesic circle is available.
+plurisubharmonic, so the maximum sits on the boundary).  A growth curve
+evaluates all of its radii in one pass, and max_modulus is its
+one-radius case:
+
+  * monomials centered at the origin have a closed form;
+  * n = 1: |f| is sampled on each circle and the best sample refined by a
+    bounded scalar search.  Off-center circles (n = 1 only) come from one
+    integration of the exponential map through every radius;
+  * n >= 2: |f| is sampled at fixed Halton directions on each sphere, and
+    the best 32 per sphere climb together, over all radii at once, by a
+    saddle-free Riemannian Newton ascent of |f|^2 to rounding level.  A
+    curve then climbs once more on every sphere from the direction of
+    each sphere's best point.
 """
 from __future__ import annotations
 
@@ -65,6 +74,10 @@ class HoloPoly:
     basepoint: complex = 0j
     degree: int = field(init=False)
     vanishing_order_at_basepoint: int = field(init=False)
+    # the same polynomial as arrays: row t of _exponents is the
+    # multi-index whose coefficient is _coefs[t]
+    _exponents: np.ndarray = field(init=False, repr=False, compare=False)
+    _coefs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -84,6 +97,9 @@ class HoloPoly:
             raise DomainError("the zero polynomial has no growth curve")
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "degree", max(sum(a) for a in clean))
+        object.__setattr__(self, "_exponents",
+                           np.array(list(clean), dtype=int))
+        object.__setattr__(self, "_coefs", np.array(list(clean.values())))
         bp = complex(self.basepoint)
         if bp != 0 and self.n != 1:
             raise DomainError("off-origin basepoints are supported for n=1 only")
@@ -115,14 +131,16 @@ class HoloPoly:
             return np.polynomial.polynomial.polyval(z, self._coef_vec())
         if z.shape[-1] != self.n:
             raise DomainError(f"points must have {self.n} components")
-        out = np.zeros(z.shape[:-1], dtype=complex)
-        for alpha, c in self.coeffs.items():
-            term = np.full(z.shape[:-1], c, dtype=complex)
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * z[..., i] ** a
-            out += term
-        return out
+        return self._monomials(z, self._exponents) @ self._coefs
+
+    def _monomials(self, z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+        """z^e for points z (..., n) and multi-indices e (k, n), each e_i in
+        0 .. degree; the result has shape z.shape[:-1] + (k,)."""
+        powers = np.ones(z.shape[:-1] + (self.n, self.degree + 1),
+                         dtype=complex)
+        powers[..., 1:] = z[..., None]
+        powers = np.cumprod(powers, axis=-1)
+        return powers[..., np.arange(self.n), exponents].prod(-1)
 
     def __call__(self, z):
         return self.eval(z)
@@ -176,11 +194,9 @@ class MonotonicityReport:
 # ---------------------------------------------------------------------------
 # max modulus
 
-def _monomial_max(f: HoloPoly, rho: float) -> float:
+def _monomial_max(f: HoloPoly, rho: np.ndarray) -> np.ndarray:
     (alpha, c), = f.coeffs.items()
     total = sum(alpha)
-    if total == 0:
-        return abs(c)
     # max of prod |z_i|^{a_i} over the sphere |z| = rho sits at
     # |z_i|^2 = (a_i/|alpha|) rho^2
     factor = 1.0
@@ -214,62 +230,170 @@ def _directions(n: int, count: int) -> np.ndarray:
     return _DIRECTION_CACHE[key]
 
 
-def _value_and_partials(f: HoloPoly, z: np.ndarray) -> tuple:
-    """f(z) and its holomorphic partials at one point z of shape (n,)."""
-    v = 0j
-    g = np.zeros(f.n, dtype=complex)
-    for alpha, c in f.coeffs.items():
-        pw = [z[i] ** a for i, a in enumerate(alpha)]
-        term = c
-        for p in pw:
-            term = term * p
-        v += term
-        for i, a in enumerate(alpha):
-            if a:
-                part = c * a * z[i] ** (a - 1)
-                for j, p in enumerate(pw):
-                    if j != i:
-                        part = part * p
-                g[i] += part
-    return v, g
+_STARTS = 32         # best sampled directions polished per sphere
+_NEWTON_STEPS = 100  # Newton iterations per member, at most
+_HALVINGS = 50       # step halvings per Newton iteration, at most
 
 
-def _sphere_max(f: HoloPoly, rho: float, count: int,
-                refine: bool = True) -> float:
+def _jet(f: HoloPoly) -> Callable:
+    """z -> (f, grad f, Hess f) at points z of shape (m, n), holomorphic."""
+    e, c = f._exponents, f._coefs
+    t, n = e.shape
+    eye = np.eye(n, dtype=int)
+    e1 = e - eye[:, None]                      # [i, t]: e_t - 1_i
+    e2 = e1[:, None] - eye[None, :, None]      # [i, j, t]: e_t - 1_i - 1_j
+    c1 = c * e.T                               # c_t e_ti
+    c2 = c1[:, None] * (e.T - eye[..., None])  # c_t e_ti (e_tj - delta_ij)
+    # a negative exponent always meets a zero coefficient
+    exps = np.maximum(np.concatenate(
+        [e, e1.reshape(-1, n), e2.reshape(-1, n)]), 0)
+    coefs = np.concatenate([c, c1.ravel(), c2.ravel()])
+
+    def jet(z):
+        terms = f._monomials(z, exps) * coefs
+        return (terms[:, :t].sum(axis=1),
+                terms[:, t:t + n * t].reshape(-1, n, t).sum(axis=2),
+                terms[:, t + n * t:].reshape(-1, n, n, t).sum(axis=3))
+    return jet
+
+
+def _sphere_ascent(f: HoloPoly, z: np.ndarray, scale: np.ndarray) -> tuple:
+    """Climb |f|^2 from the points z (m, n), each on its sphere |z| = const.
+
+    Saddle-free Riemannian Newton in real coordinates x = (Re z, Im z) on
+    F = |f / scale|^2, where scale is |f| at the starts (1 where that is
+    0): F stays near 1 and cannot overflow where |f| does not.  The
+    Hessian of F restricted to the sphere, written in an orthonormal
+    tangent basis (a Householder reflection of x), has its eigenvalues
+    replaced by their absolute values, so every step ascends.
+    A member halves its step until F increases, and stops once its Newton
+    decrement is at most 1e-14 F (the gain left is below rounding) or no
+    halving increases F.  Returns the final points and |f| there.
+    """
+    n, m = f.n, z.shape[0]
+    jet = _jet(f)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    rho = np.linalg.norm(z, axis=1)
+    x = np.concatenate([z.real, z.imag], axis=1)
+    val = np.abs(f.eval(z) / scale) ** 2
+    eye = np.eye(2 * n)
+    active = np.ones(m, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        a = np.nonzero(active)[0]
+        if a.size == 0:
+            break
+        xa, ra, sa = x[a], rho[a], scale[a]
+        v, g, h = jet(xa[:, :n] + 1j * xa[:, n:])
+        v, g, h = v / sa, g / sa[:, None], h / sa[:, None, None]
+        # Euclidean gradient and Hessian of F: with u = grad f . dz,
+        # F(z + dz) = F + 2 Re(conj(f) u) + |u|^2 + Re(conj(f) dz^T Hess dz)
+        q = np.conj(v)[:, None] * g
+        grad = 2.0 * np.concatenate([q.real, -q.imag], axis=1)
+        u = np.stack([np.concatenate([g.real, -g.imag], axis=1),
+                      np.concatenate([g.imag, g.real], axis=1)], axis=2)
+        cf = np.conj(v)[:, None, None] * h
+        hess = 2.0 * (u @ u.transpose(0, 2, 1) + np.concatenate(
+            [np.concatenate([cf.real, -cf.imag], axis=2),
+             np.concatenate([-cf.imag, -cf.real], axis=2)], axis=1))
+        # tangent basis: columns 1.. of the reflection taking x/rho to e_0
+        w = xa / ra[:, None]
+        w[:, 0] += np.where(w[:, 0] >= 0.0, 1.0, -1.0)
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        basis = (eye - 2.0 * w[:, :, None] * w[:, None])[:, :, 1:]
+        # Riemannian Hessian: the normal component of the gradient bends
+        # the sphere by -(grad . x) / rho^2 in every tangent direction
+        bend = np.sum(grad * xa, axis=1) / ra ** 2
+        hr = (basis.transpose(0, 2, 1) @ hess @ basis
+              - bend[:, None, None] * eye[1:, 1:])
+        mu, vec = np.linalg.eigh(hr)
+        mu = np.abs(mu)
+        mu = np.maximum(mu, 1e-12 * mu.max(axis=1, keepdims=True) + 1e-300)
+        gv = ((grad[:, None] @ basis) @ vec)[:, 0]
+        done = np.sum(gv * gv / mu, axis=1) <= 1e-14 * val[a]
+        dx = (basis @ (vec @ (gv / mu)[:, :, None]))[:, :, 0]
+        # steps longer than half the radius are cut back before retraction
+        with np.errstate(divide="ignore"):
+            t = np.minimum(1.0, 0.5 * ra / np.linalg.norm(dx, axis=1))
+        pend = np.nonzero(~done)[0]
+        for _ in range(_HALVINGS):
+            if pend.size == 0:
+                break
+            y = xa[pend] + t[pend, None] * dx[pend]
+            y *= (ra[pend] / np.linalg.norm(y, axis=1))[:, None]
+            fy = np.abs(f.eval(y[:, :n] + 1j * y[:, n:]) / sa[pend]) ** 2
+            up = fy > val[a[pend]]
+            x[a[pend[up]]] = y[up]
+            val[a[pend[up]]] = fy[up]
+            pend = pend[~up]
+            t[pend] *= 0.5
+        active[a[done]] = False
+        active[a[pend]] = False
+    return x[:, :n] + 1j * x[:, n:], np.sqrt(val) * scale
+
+
+def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int,
+                refine: bool) -> np.ndarray:
+    """max |f| on the spheres |z| = rho of C^n, n >= 2, one per entry."""
     zeta = _directions(f.n, count)
-    vals = np.abs(f.eval(rho * zeta))
-    order = np.argsort(vals)[::-1]
-    best = float(vals[order[0]])
+    # f(rho zeta) = sum_t c_t rho^|e_t| zeta^e_t: one monomial table serves
+    # every radius
+    e, c = f._exponents, f._coefs
+    vals = np.abs(f._monomials(zeta, e)
+                  @ (c[:, None] * rho ** e.sum(axis=1)[:, None])).T
+    best = vals.max(axis=1)
     if not refine:
         return best
-    scale = best if best > 0 else 1.0
-
-    # maximize F(w) = |f(rho w_c / |w|)| over w in R^{2n}; F is smooth away
-    # from zeros of f and scale invariant, with gradient
-    #   rho/|w| u - rho (u.w)/|w|^3 w,   u interleaved from conj(f) grad f/|f|
-    def neg(w):
-        nrm = float(np.linalg.norm(w))
-        wc = w[0::2] + 1j * w[1::2]
-        v, gz = _value_and_partials(f, (rho / nrm) * wc)
-        av = abs(v)
-        if av == 0.0:
-            return 0.0, np.zeros_like(w)
-        q = (np.conj(v) / av) * gz
-        u = np.empty_like(w)
-        u[0::2] = q.real
-        u[1::2] = -q.imag
-        grad = (rho / nrm) * u - (rho * float(u @ w) / nrm ** 3) * w
-        return -av / scale, -grad / scale
-
-    for idx in order[:4]:
-        w0 = np.empty(2 * f.n)
-        w0[0::2] = zeta[idx].real
-        w0[1::2] = zeta[idx].imag
-        res = optimize.minimize(neg, w0, jac=True, method="L-BFGS-B",
-                                options={"ftol": 1e-15, "gtol": 1e-11,
-                                         "maxiter": 500})
-        best = max(best, -float(res.fun) * scale)
+    top = np.argsort(vals, axis=1)[:, -_STARTS:]
+    peaks, peak_vals = _sphere_ascent(
+        f, (rho[:, None, None] * zeta[top]).reshape(-1, f.n),
+        np.take_along_axis(vals, top, axis=1).ravel())
+    peak_vals = peak_vals.reshape(top.shape)
+    best = np.maximum(best, peak_vals.max(axis=1))
+    if rho.size > 1:
+        # a maximum missed on one sphere is often found on another: climb
+        # again on every sphere from the direction of each sphere's best
+        won = peaks.reshape(top.shape + (f.n,))[
+            np.arange(rho.size), peak_vals.argmax(axis=1)]
+        dirs = won / rho[:, None]
+        starts = (rho[:, None, None] * dirs).reshape(-1, f.n)
+        peak_vals = _sphere_ascent(f, starts, np.abs(f.eval(starts)))[1]
+        best = np.maximum(best, peak_vals.reshape(rho.size, -1).max(axis=1))
     return best
+
+
+def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
+                rs: np.ndarray, samples: int, refine: bool) -> np.ndarray:
+    """max |f| over the geodesic balls of radii rs (positive) about center."""
+    if f.n != model.n:
+        raise DomainError("polynomial and model dimension differ")
+    if center != 0 and f.n != 1:
+        raise DomainError("off-center balls are supported for n=1 only")
+    if center == 0:
+        if np.any(rs >= model.r_max):
+            raise DomainError(f"r must stay below r_max = {model.r_max:g}")
+        rho = np.asarray(rho_of_r(model, rs), dtype=float)
+        if len(f.coeffs) == 1:
+            return _monomial_max(f, rho)
+        if f.n > 1:
+            return _sphere_max(f, rho, max(samples, 240 * 2 * f.n), refine)
+        circle = lambda phi: np.multiply.outer(rho, np.exp(1j * phi))
+    else:
+        circle = geodesic_circle(model, center, rs)
+
+    count = max(samples, 720, 16 * max(f.degree, 1))
+    phis = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    vals = np.abs(f.eval(circle(phis)))
+    peak = np.argmax(vals, axis=1)
+    out = vals[np.arange(rs.size), peak]
+    if refine:
+        step = 2.0 * math.pi / count
+        for k, i in enumerate(peak):
+            fabs = lambda t, k=k: float(np.abs(f.eval(circle(t)[k])))
+            out[k] = _refine_circle(fabs, phis[i] - step, phis[i] + step,
+                                    out[k])
+    if not np.all(np.isfinite(out)) or np.any(out < 0):
+        raise MaximizationError("maximum-modulus search failed")
+    return out
 
 
 def max_modulus(model: RadialKahlerModel, f: HoloPoly, center=None,
@@ -277,51 +401,35 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center=None,
                 refine: bool = True) -> float:
     """max |f| over the geodesic ball of radius r about center.
 
-    Single monomials centered at the origin use the closed form;
-    otherwise the geodesic sphere is sampled densely and the best
-    bracket refined (relative accuracy well past 1e-7).  refine=False
-    skips the local polish: with a fixed direction set the bias is
-    nearly scale-independent, good enough for slope fits.
+    The one-radius case of growth_curve.  Single monomials centered at
+    the origin use the closed form.  Otherwise |f| is sampled on the
+    geodesic sphere: on a circle (n = 1) at max(samples, 720, 16 deg)
+    launch angles, the best one refined by a bounded scalar search; on
+    the sphere of C^n (n >= 2) at max(samples, 480 n) fixed Halton
+    directions, the best 32 climbed by a Riemannian Newton ascent to
+    rounding level.  refine=False returns the best sample: with a fixed
+    direction set the bias is nearly scale-independent, good enough for
+    slope fits.
     """
     if r is None:
         raise DomainError("max_modulus needs a radius")
-    center = f.basepoint if center is None else complex(center)
     if r <= 0:
         raise DomainError("radius must be positive")
-    if f.n != model.n:
-        raise DomainError("polynomial and model dimension differ")
-    if center != 0 and f.n != 1:
-        raise DomainError("off-center balls are supported for n=1 only")
-    if center == 0:
-        if r >= model.r_max:
-            raise DomainError(f"r must stay below r_max = {model.r_max:g}")
-        rho = float(rho_of_r(model, r))
-        if len(f.coeffs) == 1:
-            return _monomial_max(f, rho)
-        if f.n == 1:
-            circle = lambda phi: rho * np.exp(1j * np.asarray(phi))
-        else:
-            return _sphere_max(f, rho, max(samples, 240 * 2 * f.n), refine)
-    else:
-        circle = geodesic_circle(model, center, r)
-
-    count = max(samples, 720, 16 * max(f.degree, 1))
-    phis = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-    vals = np.abs(f.eval(circle(phis)))
-    i = int(np.argmax(vals))
-    step = 2.0 * math.pi / count
-    fabs = lambda t: float(np.abs(f.eval(circle(np.asarray(t)))))
-    out = float(vals[i])
-    if refine:
-        out = _refine_circle(fabs, phis[i] - step, phis[i] + step, out)
-    if not math.isfinite(out) or out < 0:
-        raise MaximizationError("maximum-modulus search failed")
-    return out
+    center = f.basepoint if center is None else complex(center)
+    return float(_max_moduli(model, f, center, np.array([float(r)]),
+                             samples, refine)[0])
 
 
 def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
                  radii: Sequence[float] = (), *,
                  refine: bool = True) -> GrowthCurve:
+    """max |f| over the geodesic balls about center, at increasing radii.
+
+    All radii are evaluated together by the method of max_modulus: the
+    sphere ascents of every radius run as one batch (and climb once more
+    from each other radius's best direction), and off-center balls share
+    one integration of the exponential map through every radius.
+    """
     rs = np.asarray(radii, dtype=float)
     if rs.ndim != 1 or rs.size == 0:
         raise DomainError("radii must be a nonempty 1-d list")
@@ -329,8 +437,7 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
         raise DomainError("radii must be positive and strictly increasing")
     center = f.basepoint if center is None else complex(center)
     exact = (center == 0) and len(f.coeffs) == 1
-    vals = np.array([max_modulus(model, f, center, float(r), refine=refine)
-                     for r in rs])
+    vals = _max_moduli(model, f, center, rs, 720, refine)
     drop = vals[1:] < vals[:-1] * (1.0 - 1e-9)
     if np.any(drop):
         raise MaximizationError(

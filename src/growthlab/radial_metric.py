@@ -50,7 +50,7 @@ import numpy as np
 from scipy import integrate, optimize  # noqa: F401
 
 from . import _numdiff, _shooting  # noqa: F401
-from .errors import ConjugatePointError, DomainError
+from .errors import ConjugatePointError, DomainError, ShootingError
 
 __all__ = [
     "RadialProfile",
@@ -547,9 +547,11 @@ def pair_distances(model: RadialKahlerModel, ps, qs,
     "closed", or "shoot" (Clairaut quadrature for any profile).  Pairs on
     one ray or through the origin take |r_p - r_q|; the others are posed
     as (rho_lo, rho_hi, |dtheta|), so d(p, q) = d(q, p) exactly, and arcs
-    are searched out to geodesic radius max(r_p, r_q) + 1.  Where the chart
-    edge closes to a point at r_max (the sphere's far pole), antipodal
-    pairs also take the path through it, 2 r_max - r_p - r_q.
+    are searched out to geodesic radius max(r_p, r_q) + 1; on a chart of
+    finite radius, pairs with no arc there are searched again out to
+    r_max - 1e-6.  Where the chart edge closes to a point at r_max (the
+    sphere's far pole), antipodal pairs also take the path through it,
+    2 r_max - r_p - r_q.
     """
     p = np.atleast_1d(np.asarray(ps, dtype=complex))
     q = np.atleast_1d(np.asarray(qs, dtype=complex))
@@ -572,14 +574,26 @@ def pair_distances(model: RadialKahlerModel, ps, qs,
     dth = np.abs(dth - 2.0 * math.pi * np.round(dth / (2.0 * math.pi)))
     out = np.abs(r_a - r_b)
     swept = np.nonzero((a != 0) & (b != 0) & (dth > 1e-12))[0]
+    edge = model.r_max - 1e-6
+
+    def connect(idx, r_cap):
+        rho_cap = np.asarray(rho_of_r(model, r_cap), dtype=float)
+        return _shooting.connect_lengths(
+            model.profile, np.abs(a[idx]), np.abs(b[idx]), dth[idx],
+            r_a[idx], r_b[idx], rho_cap)
+
     if swept.size:
-        r_cap = np.minimum(np.maximum(r_a, r_b)[swept] + 1.0,
-                           model.r_max - 1e-6 if math.isfinite(model.r_max)
-                           else math.inf)
-        out[swept] = _shooting.connect_lengths(
-            model.profile, np.abs(a[swept]), np.abs(b[swept]), dth[swept],
-            r_a[swept], r_b[swept],
-            np.asarray(rho_of_r(model, r_cap), dtype=float))
+        out[swept] = connect(swept, np.minimum(
+            np.maximum(r_a, r_b)[swept] + 1.0, edge))
+        # apocenters past the first window (sphere pairs near dtheta = pi)
+        miss = swept[np.isinf(out[swept])]
+        if miss.size and math.isfinite(edge):
+            out[miss] = connect(miss, np.full(miss.size, edge))
+        if np.any(np.isinf(out)):
+            j = int(np.argmax(np.isinf(out)))
+            raise ShootingError(
+                f"no connecting geodesic for pair rho_p={abs(a[j]):g}, "
+                f"rho_q={abs(b[j]):g}, dtheta={dth[j]:g}")
     if math.isfinite(model.r_max) and model.conjugate_radius == model.r_max:
         # the chart edge closes to a point: at dtheta = pi the broken radial
         # path through it competes with the one through the origin
@@ -595,26 +609,30 @@ def geodesic_distance(model: RadialKahlerModel, p, q,
     return float(pair_distances(model, [complex(p)], [complex(q)], method)[0])
 
 
-def geodesic_circle(model: RadialKahlerModel, center, r: float,
+def geodesic_circle(model: RadialKahlerModel, center, r,
                     n_base: int = 1024) -> Callable:
     """Return phi -> z(phi), the geodesic circle of radius r about center.
 
     The parametrization is by launch angle of the exponential map at the
-    center (phi = 0 points away from the origin).  Exact for flat models
-    and for circles centered at the origin; otherwise one batched
-    integration of the Cartesian geodesic equation plus periodic cubic
-    spline interpolation.
+    center (phi = 0 points away from the origin).  r may also be a 1-d
+    array of radii; z(phi) then has shape r.shape + phi.shape, one row per
+    circle.  Exact for flat models and for circles centered at the origin;
+    otherwise one batched integration of the Cartesian geodesic equation,
+    passing through every radius, plus periodic cubic spline
+    interpolation.
     """
     center = complex(center)
-    if r <= 0:
+    rs = np.asarray(r, dtype=float)
+    if np.any(rs <= 0):
         raise DomainError("geodesic_circle needs r > 0")
     if model.kind == "flat":
-        return lambda phi: center + r * np.exp(1j * np.asarray(phi))
+        return lambda phi: center + np.multiply.outer(
+            rs, np.exp(1j * np.asarray(phi)))
     if center == 0:
-        rr = float(rho_of_r(model, r))
-        return lambda phi: rr * np.exp(1j * np.asarray(phi))
+        rr = np.asarray(rho_of_r(model, rs), dtype=float)
+        return lambda phi: np.multiply.outer(rr, np.exp(1j * np.asarray(phi)))
     if math.isfinite(model.r_max):
         base = distance_from_origin(model, abs(center))
-        if base + r >= model.r_max:
+        if base + np.max(rs) >= model.r_max:
             raise DomainError("geodesic circle leaves the chart")
-    return _shooting.circle_interpolator(model.profile, center, r, n_base)
+    return _shooting.circle_interpolator(model.profile, center, rs, n_base)

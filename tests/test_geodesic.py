@@ -116,6 +116,22 @@ def test_sphere_antipodal_through_far_pole():
     assert abs(d - (2 * math.pi - 3.419)) <= 1e-8
 
 
+def test_sphere_near_antipodal_grid():
+    # past the equator near dtheta = pi the apocenter lies beyond
+    # max(r_p, r_q) + 1; those pairs are searched again out to the edge.
+    # Pairs with both ends near the equator (J' ~ 0) are left out.
+    m = builtin_model("sphere")
+    rs = np.linspace(1.3, 3.0, 18)
+    r_p, r_q, th = (a.ravel() for a in np.meshgrid(
+        rs, rs, np.linspace(2.6, math.pi - 1e-3, 12), indexing="ij"))
+    keep = (np.abs(r_p - math.pi / 2) >= 0.1) | (np.abs(r_q - math.pi / 2)
+                                                 >= 0.1)
+    ps = np.tan(r_p[keep] / 2).astype(complex)
+    qs = np.tan(r_q[keep] / 2) * np.exp(1j * th[keep])
+    d = pair_distances(m, ps, qs, method="shoot")
+    assert np.max(np.abs(d - sphere_dist(ps, qs))) <= 1e-8
+
+
 def test_shoot_accuracy_against_closed_forms():
     rng = np.random.default_rng(108)
     for tag, ref, hi in (("flat", flat_dist, 2.5),

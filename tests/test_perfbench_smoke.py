@@ -1,8 +1,9 @@
 """Smoke test of the benchmark harness in perfbench/.
 
-One quick geodesic-pairs pass, untraced and traced.  The traced run binds
-growthlab's functions by name, so a rename that breaks the tracer fails
-here.
+One quick geodesic-pairs pass, untraced and traced, and one traced quick
+growth-sweep pass.  The traced runs bind growthlab's functions by name
+(the growth layer, geodesic circles and the exponential-map integrator
+among them), so a rename that breaks the tracer fails here.
 """
 import json
 import subprocess
@@ -26,3 +27,15 @@ def test_geodesic_pairs_quick(trace):
     if trace:
         pairs = out["metrics"]["radial_metric.pair_distances.pairs"]
         assert pairs["value"] > 0
+
+
+def test_growth_sweep_quick_traced():
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", "growth-sweep", "--quick", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=False)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout.strip().splitlines()[-1])
+    assert out["correct"] is True
+    assert out["metrics"]["radial_metric.geodesic_circle.calls"]["value"] > 0
+    assert out["metrics"]["radial_metric.integrate_batch.calls"]["value"] > 0
