@@ -21,9 +21,7 @@ Every run can write a CSV curve (``--csv``) and a JSON report
 check reports a mathematical violation (inverted by
 ``--expect-violation``: a detected violation is then the desired
 outcome), 2 on usage or validation errors.  ``--config FILE`` supplies
-defaults from JSON; explicit flags win.  The random seed is taken from
-``--seed``, then the ``LAB_SEED`` environment variable, then the config
-file, then the built-in default.
+defaults from JSON; explicit flags win.
 """
 from __future__ import annotations
 
@@ -31,7 +29,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -71,13 +68,8 @@ from .radial_metric import (
     curvature_at_origin,
     model_hessian,
     radial_curvature,
+    rho_of_r,
 )
-
-DEFAULT_SEED = 2026
-
-SUITE_NAMES = ("sharpness", "necessity", "ode-catalog", "monotonicity",
-               "homogeneity", "dimension")
-
 
 # ---------------------------------------------------------------------------
 # input parsing
@@ -207,6 +199,14 @@ def build_model(args):
     return builtin_model(tag, args.n, kappa=args.kappa)
 
 
+# catalog tags of the closed-form convexifiers, by model kind (for --h
+# auto; hyperbolic and sphere at unit scale only) and by --h-tag name
+_CLOSED_H = {"flat": "nonneg", "cigar": "cigar",
+             "hyperbolic": "lower_bound_minus_one",
+             "sphere": "lower_bound_plus_one",
+             "logr": "nonneg", "power-decay": "power_decay"}
+
+
 def resolve_h(spec: str, model, radii: np.ndarray):
     """Reparametrization for the convexity checks.
 
@@ -219,14 +219,8 @@ def resolve_h(spec: str, model, radii: np.ndarray):
     if spec != "auto":
         raise DomainError(f"unknown h spec {spec!r}")
     unit = (not model.params) or model.params[0] == 1.0
-    if model.kind == "flat":
-        return closed_form_convexifier("nonneg")
-    if model.kind == "cigar":
-        return closed_form_convexifier("cigar")
-    if model.kind == "hyperbolic" and unit:
-        return closed_form_convexifier("lower_bound_minus_one")
-    if model.kind == "sphere" and unit:
-        return closed_form_convexifier("lower_bound_plus_one")
+    if model.kind in _CLOSED_H and unit:
+        return closed_form_convexifier(_CLOSED_H[model.kind])
     u = make_supersolution(lambda r: model_hessian(model, r))
     hi = min(1.25 * float(np.max(radii)), 0.99 * model.conjugate_radius)
     return solve_convexifier(u, r_end=hi)
@@ -268,19 +262,28 @@ def _jsonable(obj):
     return obj
 
 
-def _check(name: str, passed: bool, tol, witness: dict) -> dict:
+def _check(name: str, passed: bool, tol, witness: dict,
+           verdict: str = "fail") -> dict:
+    """A check record; ``verdict`` is what a failed check reports."""
     return {"name": name, "passed": bool(passed),
-            "verdict": "pass" if passed else "fail",
+            "verdict": "pass" if passed else verdict,
             "tolerance": tol, "witness": witness}
 
 
 def _echo_config(args) -> dict:
     skip = {"command", "csv", "json", "config"}
-    return {k: _jsonable(v) for k, v in vars(args).items()
-            if k not in skip and not k.startswith("_")}
+    return {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
 
 
-def finish(args, checks: list, csv_files: list, t0: float) -> int:
+def finish(args, checks: list, table, t0: float) -> int:
+    """Print the verdicts, write the CSV table and the JSON report.
+
+    table is (header, rows) or None; it is written when --csv is given.
+    """
+    csv_files = []
+    if table is not None and args.csv:
+        write_csv(args.csv, *table)
+        csv_files.append(args.csv)
     raw_ok = all(c["passed"] for c in checks)
     expect = bool(getattr(args, "expect_violation", False))
     ok = (not raw_ok) if expect else raw_ok
@@ -299,15 +302,14 @@ def finish(args, checks: list, csv_files: list, t0: float) -> int:
     report = {
         "version": __version__,
         "command": args.command,
-        "seed": getattr(args, "_seed", DEFAULT_SEED),
         "expected_violation": expect,
         "config": _echo_config(args),
         "checks": _jsonable(checks),
-        "csv_files": list(csv_files),
+        "csv_files": csv_files,
         "all_passed": ok,
         "elapsed_s": time.perf_counter() - t0,
     }
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -315,24 +317,19 @@ def finish(args, checks: list, csv_files: list, t0: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (checks, table) for finish
 
-def _cmd_curvature(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_curvature(args):
     model = build_model(args)
     radii = parse_radii(args.radii, args.spacing)
     kurv = np.asarray(radial_curvature(model, radii), dtype=float)
     hess = np.asarray(model_hessian(model, radii), dtype=float)
-    files = []
-    if args.csv:
-        write_csv(args.csv, ["r", "H", "u"],
-                  list(zip(radii.tolist(), kurv.tolist(), hess.tolist())))
-        files.append(args.csv)
     checks = [_check("curvature-table", True, None,
                      {"H_min": float(kurv.min()), "H_max": float(kurv.max()),
                       "H_origin": float(curvature_at_origin(model)),
                       "samples": int(radii.size)})]
-    return finish(args, checks, files, t0)
+    return checks, (["r", "H", "u"], list(zip(radii.tolist(), kurv.tolist(),
+                                              hess.tolist())))
 
 
 def _bound_from_args(args):
@@ -346,8 +343,7 @@ def _bound_from_args(args):
     raise DomainError(f"unknown curvature floor {tag!r}")
 
 
-def _cmd_ode(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_ode(args):
     _require(args, "g")
     g = _bound_from_args(args)
     u = solve_riccati_equality(g, r_end=args.r_end)
@@ -356,34 +352,17 @@ def _cmd_ode(args) -> int:
     hi = min(args.r_end, 0.995 * u.r_max)
     grid = np.geomspace(args.grid_lo, hi, 400)
     rep = verify_supersolution(u, g, grid, tol=args.tol)
-    files = []
-    if args.csv:
-        uu = np.asarray(u(grid), dtype=float)
-        write_csv(args.csv, ["r", "u", "residual"],
-                  list(zip(grid.tolist(), uu.tolist(),
-                           rep.residuals.tolist())))
-        files.append(args.csv)
     witness = {"min_residual": rep.min_residual, "argmin_r": rep.argmin_r,
                "origin_residual": u.origin_residual}
     if u.blow_down is not None:
         witness["blow_down_r"] = u.blow_down
-    checks = [_check(f"ode {g.tag}", rep.passed, args.tol, witness)]
-    return finish(args, checks, files, t0)
+    uu = np.asarray(u(grid), dtype=float)
+    return ([_check(f"ode {g.tag}", rep.passed, args.tol, witness)],
+            (["r", "u", "residual"], list(zip(grid.tolist(), uu.tolist(),
+                                              rep.residuals.tolist()))))
 
 
-def _curve_csv(path, curve, h, second_diffs):
-    hv = np.asarray(h(curve.radii), dtype=float)
-    pad = [""] + [float(x) for x in second_diffs] + [""]
-    rows = [
-        (float(r), float(hr), float(m), float(lm), sd)
-        for r, hr, m, lm, sd in zip(curve.radii, hv, curve.values,
-                                    curve.log_values, pad)
-    ]
-    write_csv(path, ["r", "h", "M", "logM", "second_difference"], rows)
-
-
-def _cmd_three_circle(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_three_circle(args):
     _require(args, "f", "radii")
     model = build_model(args)
     f = parse_function(args.f, args.n)
@@ -392,19 +371,18 @@ def _cmd_three_circle(args) -> int:
     h = resolve_h(args.h, model, radii)
     curve = growth_curve(model, f, center, radii)
     rep = three_circle_check(curve, h, tol=args.tol)
-    files = []
-    if args.csv:
-        _curve_csv(args.csv, curve, h, rep.second_differences)
-        files.append(args.csv)
-    checks = [{"name": "three-circle", "passed": rep.verdict == "pass",
-               "verdict": rep.verdict, "tolerance": args.tol,
-               "witness": {"min_second_difference": rep.min_second_difference,
-                           "argmin_r": rep.argmin_r}}]
-    return finish(args, checks, files, t0)
+    hv = np.asarray(h(curve.radii), dtype=float)
+    pad = [""] + [float(x) for x in rep.second_differences] + [""]
+    rows = [(float(r), float(hr), float(m), float(lm), sd)
+            for r, hr, m, lm, sd in zip(curve.radii, hv, curve.values,
+                                        curve.log_values, pad)]
+    checks = [_check("three-circle", rep.verdict == "pass", args.tol,
+                     {"min_second_difference": rep.min_second_difference,
+                      "argmin_r": rep.argmin_r}, "violation")]
+    return checks, (["r", "h", "M", "logM", "second_difference"], rows)
 
 
-def _cmd_monotonicity(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_monotonicity(args):
     _require(args, "f", "radii")
     model = build_model(args)
     f = parse_function(args.f, args.n)
@@ -424,49 +402,39 @@ def _cmd_monotonicity(args) -> int:
     curve = growth_curve(model, f, None, radii)
     rep = monotonicity_check(curve, h, d, direction=args.direction,
                              tol=args.tol)
-    files = []
-    if args.csv:
-        hv = np.asarray(h(radii), dtype=float)
-        slack = curve.log_values - d * hv
-        write_csv(args.csv, ["r", "h", "M", "logM", "t"],
-                  list(zip(radii.tolist(), hv.tolist(),
-                           curve.values.tolist(),
-                           curve.log_values.tolist(), slack.tolist())))
-        files.append(args.csv)
-    checks = [{"name": f"monotonicity {args.direction} d={d:g}",
-               "passed": rep.verdict == "pass", "verdict": rep.verdict,
-               "tolerance": args.tol,
-               "witness": {"worst": rep.worst, "argworst_r": rep.argworst_r,
-                           "d": d}}]
-    return finish(args, checks, files, t0)
+    hv = np.asarray(h(radii), dtype=float)
+    slack = curve.log_values - d * hv
+    checks = [_check(f"monotonicity {args.direction} d={d:g}",
+                     rep.verdict == "pass", args.tol,
+                     {"worst": rep.worst, "argworst_r": rep.argworst_r,
+                      "d": d}, "violation")]
+    return checks, (["r", "h", "M", "logM", "t"],
+                    list(zip(radii.tolist(), hv.tolist(),
+                             curve.values.tolist(),
+                             curve.log_values.tolist(), slack.tolist())))
 
 
-def _cmd_necessity(args) -> int:
-    t0 = time.perf_counter()
+def _necessity_grid(model) -> np.ndarray:
+    """Default fit grid for the deficit, inside (0, 0.2 min(1, r_max))."""
+    top = 0.19 * min(1.0, model.r_max)
+    return np.linspace(top / 8.0, top, 12)
+
+
+def _cmd_necessity(args):
     model = build_model(args)
-    if args.radii:
-        grid = parse_radii(args.radii, "linear")
-    else:
-        top = 0.19 * min(1.0, model.r_max)
-        grid = np.linspace(top / 8.0, top, 12)
+    grid = (parse_radii(args.radii, "linear") if args.radii
+            else _necessity_grid(model))
     fitted = necessity_deficit(model, grid)
     expected = float(curvature_at_origin(model)) / 12.0
     err = abs(fitted - expected)
     ok = err <= max(args.rtol * abs(expected), args.atol)
-    files = []
-    if args.csv:
-        from .radial_metric import rho_of_r
-        ratio = np.asarray(rho_of_r(model, grid), dtype=float) / grid
-        write_csv(args.csv, ["r", "ratio"],
-                  list(zip(grid.tolist(), ratio.tolist())))
-        files.append(args.csv)
+    ratio = np.asarray(rho_of_r(model, grid), dtype=float) / grid
     checks = [_check("necessity-deficit", ok, args.rtol,
                      {"fitted": fitted, "expected": expected, "error": err})]
-    return finish(args, checks, files, t0)
+    return checks, (["r", "ratio"], list(zip(grid.tolist(), ratio.tolist())))
 
 
-def _cmd_homogeneity(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_homogeneity(args):
     _require(args, "f")
     model = build_model(args)
     f = parse_function(args.f, args.n)
@@ -474,18 +442,12 @@ def _cmd_homogeneity(args) -> int:
     values = [float(homogeneity_check(model, f, args.K, float(r), d=args.d))
               for r in radii]
     ok = all(v <= args.tol for v in values)
-    files = []
-    if args.csv:
-        write_csv(args.csv, ["r", "value"],
-                  list(zip(radii.tolist(), values)))
-        files.append(args.csv)
     checks = [_check(f"homogeneity K={args.K:g}", ok, args.tol,
                      {"value": max(values), "values": values})]
-    return finish(args, checks, files, t0)
+    return checks, (["r", "value"], list(zip(radii.tolist(), values)))
 
 
-def _cmd_dimension(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_dimension(args):
     _require(args, "regime")
     regime = args.regime
     if regime == "poly":
@@ -506,7 +468,11 @@ def _cmd_dimension(args) -> int:
         witness = {"bound": b.bound, "d_eff": b.d_eff, **dict(b.params)}
         name = "dimension exp-growth"
     elif regime == "from-h":
-        h = _h_by_tag(args)
+        if args.h_tag not in ("logr", "cigar", "power-decay"):
+            raise DomainError(f"unknown h tag {args.h_tag!r}")
+        params = ({"A": args.A, "eps": args.eps}
+                  if args.h_tag == "power-decay" else {})
+        h = closed_form_convexifier(_CLOSED_H[args.h_tag], **params)
         b = dim_bound_from_h(h, args.d, args.n)
         bound = b.bound
         witness = {"bound": b.bound, "regime": b.regime, "d_eff": b.d_eff,
@@ -516,25 +482,13 @@ def _cmd_dimension(args) -> int:
         raise DomainError(f"unknown regime {regime!r}")
     print(f"bound {bound}" + (f", regime {witness['regime']}"
                               if "regime" in witness else ""))
-    checks = [_check(name, True, None, witness)]
-    return finish(args, checks, [], t0)
-
-
-def _h_by_tag(args):
-    tag = args.h_tag
-    if tag == "logr":
-        return closed_form_convexifier("nonneg")
-    if tag == "cigar":
-        return closed_form_convexifier("cigar")
-    if tag == "power-decay":
-        return closed_form_convexifier("power_decay", A=args.A, eps=args.eps)
-    raise DomainError(f"unknown h tag {tag!r}")
+    return [_check(name, True, None, witness)], None
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_sharpness(seed: int) -> list:
+def _suite_sharpness() -> list:
     tol = 1e-6
     cases = [
         ("flat d=1", builtin_model("flat"), {(1,): 1.0}, "nonneg", 1,
@@ -562,7 +516,8 @@ def _suite_sharpness(seed: int) -> list:
     return checks
 
 
-def _five_profiles():
+def five_profiles():
+    """(name, model) for the five profiles of the small-radius checks."""
     return [
         ("flat", builtin_model("flat")),
         ("cigar", builtin_model("cigar")),
@@ -572,7 +527,7 @@ def _five_profiles():
     ]
 
 
-def _suite_necessity(seed: int) -> list:
+def _suite_necessity() -> list:
     checks = []
     hyper = builtin_model("hyperbolic")
     curve = growth_curve(hyper, HoloPoly(1, {(1,): 1.0}),
@@ -581,10 +536,8 @@ def _suite_necessity(seed: int) -> list:
     detected = rep.verdict == "violation" and rep.min_second_difference < -1e-3
     checks.append(_check("necessity hyperbolic violation", detected, 1e-3,
                          {"min_second_difference": rep.min_second_difference}))
-    for name, model in _five_profiles():
-        top = 0.19 * min(1.0, model.r_max)
-        grid = np.linspace(top / 8.0, top, 12)
-        fitted = necessity_deficit(model, grid)
+    for name, model in five_profiles():
+        fitted = necessity_deficit(model, _necessity_grid(model))
         expected = float(curvature_at_origin(model)) / 12.0
         ok = abs(fitted - expected) <= max(0.05 * abs(expected), 1e-3)
         checks.append(_check(f"necessity deficit {name}", ok, 0.05,
@@ -592,7 +545,7 @@ def _suite_necessity(seed: int) -> list:
     return checks
 
 
-def _suite_ode_catalog(seed: int) -> list:
+def _suite_ode_catalog() -> list:
     tol_res, tol_match = 1e-8, 1e-7
     entries = [
         ("nonneg", "nonneg", "nonneg", {}, ("constant", {"c": 0.0})),
@@ -645,7 +598,7 @@ def _suite_ode_catalog(seed: int) -> list:
     return checks
 
 
-def _suite_monotonicity(seed: int) -> list:
+def _suite_monotonicity() -> list:
     tol = 1e-7
     flat, cigar = builtin_model("flat"), builtin_model("cigar")
     h_flat = closed_form_convexifier("nonneg")
@@ -671,7 +624,7 @@ def _suite_monotonicity(seed: int) -> list:
     return checks
 
 
-def _suite_homogeneity(seed: int) -> list:
+def _suite_homogeneity() -> list:
     checks = []
     flat = builtin_model("flat")
     f = HoloPoly(1, {(2,): 1.0, (1,): 1.0})
@@ -692,7 +645,7 @@ def _suite_homogeneity(seed: int) -> list:
     return checks
 
 
-def _suite_dimension(seed: int) -> list:
+def _suite_dimension() -> list:
     import itertools
     checks = []
     worst = None
@@ -722,7 +675,8 @@ def _suite_dimension(seed: int) -> list:
     return checks
 
 
-_SUITES = {
+# the pinned bundles of `lab suite`: name -> () -> list of check records
+SUITES = {
     "sharpness": _suite_sharpness,
     "necessity": _suite_necessity,
     "ode-catalog": _suite_ode_catalog,
@@ -732,28 +686,26 @@ _SUITES = {
 }
 
 
-def _cmd_suite(args) -> int:
-    t0 = time.perf_counter()
-    checks = _SUITES[args.name](getattr(args, "_seed", DEFAULT_SEED))
+def _cmd_suite(args):
+    checks = SUITES[args.name]()
     width = max(len(c["name"]) for c in checks)
     print(f"{'check':<{width}}  verdict")
     for c in checks:
         print(f"{c['name']:<{width}}  {c['verdict']}")
     n_pass = sum(c["passed"] for c in checks)
     print(f"{n_pass}/{len(checks)} passed")
-    return finish(args, checks, [], t0)
+    return checks, None
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
 def build_parser():
+    """The lab parser and its subparsers action (name -> parser in choices)."""
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--csv", help="write the curve CSV here")
     out.add_argument("--json", help="write the JSON run report here")
     out.add_argument("--config", help="JSON file with default option values")
-    out.add_argument("--seed", type=int, default=None,
-                     help="random seed (flag > LAB_SEED > config > default)")
 
     mod = argparse.ArgumentParser(add_help=False)
     mod.add_argument("--model", default="flat",
@@ -765,19 +717,22 @@ def build_parser():
     mod.add_argument("--coeffs", help="conformal profile coefficients c0,c1,..")
     mod.add_argument("--table", help="path to a '# rho lambda' profile table")
 
+    expect = argparse.ArgumentParser(add_help=False)
+    expect.add_argument("--expect-violation", dest="expect_violation",
+                        action="store_true",
+                        help="exit 0 only when a check reports a violation")
+
     parser = argparse.ArgumentParser(
         prog="lab",
         description="growth laboratory for rotationally invariant metrics")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    sp = {}
 
     p = subs.add_parser("curvature", parents=[mod, out],
                         help="tabulate curvature and radial Hessian")
     p.add_argument("--radii", default="0.05:5:40")
     p.add_argument("--spacing", choices=["log", "linear"], default="log")
-    sp["curvature"] = p
 
     p = subs.add_parser("ode", parents=[out],
                         help="solve and verify the comparison equation")
@@ -789,9 +744,8 @@ def build_parser():
     p.add_argument("--r-end", dest="r_end", type=float, default=50.0)
     p.add_argument("--grid-lo", dest="grid_lo", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-8)
-    sp["ode"] = p
 
-    p = subs.add_parser("three-circle", parents=[mod, out],
+    p = subs.add_parser("three-circle", parents=[mod, out, expect],
                         help="log M_f convexity in h")
     p.add_argument("--f", help="monomial-sum expression")
     p.add_argument("--center", help="basepoint, n = 1 only")
@@ -799,11 +753,8 @@ def build_parser():
     p.add_argument("--spacing", choices=["log", "linear"], default="log")
     p.add_argument("--h", default="auto", help="auto | logr")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--expect-violation", dest="expect_violation",
-                   action="store_true")
-    sp["three-circle"] = p
 
-    p = subs.add_parser("monotonicity", parents=[mod, out],
+    p = subs.add_parser("monotonicity", parents=[mod, out, expect],
                         help="log M_f - d h monotonicity")
     p.add_argument("--f")
     p.add_argument("--radii")
@@ -814,21 +765,15 @@ def build_parser():
     p.add_argument("--direction", choices=["nonincreasing", "nondecreasing"],
                    default="nonincreasing")
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--expect-violation", dest="expect_violation",
-                   action="store_true")
-    sp["monotonicity"] = p
 
-    p = subs.add_parser("necessity", parents=[mod, out],
+    p = subs.add_parser("necessity", parents=[mod, out, expect],
                         help="small-radius deficit versus H(0)/12")
     p.add_argument("--radii", default=None,
                    help="fit grid; default inside (0, 0.2 min(1, r_max))")
     p.add_argument("--rtol", type=float, default=0.05)
     p.add_argument("--atol", type=float, default=1e-3)
-    p.add_argument("--expect-violation", dest="expect_violation",
-                   action="store_true")
-    sp["necessity"] = p
 
-    p = subs.add_parser("homogeneity", parents=[mod, out],
+    p = subs.add_parser("homogeneity", parents=[mod, out, expect],
                         help="asymptotic homogeneity defect")
     p.add_argument("--f")
     p.add_argument("--K", type=float, default=2.0)
@@ -836,9 +781,6 @@ def build_parser():
     p.add_argument("--spacing", choices=["log", "linear"], default="log")
     p.add_argument("--d", type=float, default=None)
     p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--expect-violation", dest="expect_violation",
-                   action="store_true")
-    sp["homogeneity"] = p
 
     p = subs.add_parser("dimension", parents=[out],
                         help="dimension bounds and regimes")
@@ -852,14 +794,12 @@ def build_parser():
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--h-tag", dest="h_tag", default="logr",
                    help="logr | cigar | power-decay (uses --A/--eps)")
-    sp["dimension"] = p
 
     p = subs.add_parser("suite", parents=[out],
                         help="pinned check bundles")
-    p.add_argument("name", choices=list(SUITE_NAMES))
-    sp["suite"] = p
+    p.add_argument("name", choices=list(SUITES))
 
-    return parser, sp
+    return parser, subs
 
 
 _HANDLERS = {
@@ -874,46 +814,28 @@ _HANDLERS = {
 }
 
 
-def _resolve_seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("LAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"LAB_SEED={env!r} is not an integer") from None
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    return DEFAULT_SEED
-
-
 def main(argv=None) -> int:
-    parser, sub = build_parser()
+    parser, subs = build_parser()
     args = parser.parse_args(argv)
-    cfg = {}
     try:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
+                try:
+                    cfg = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise DomainError(f"config file: {exc}") from None
             if not isinstance(cfg, dict):
                 raise DomainError("config file must hold a JSON object")
-            chosen = sub[args.command]
-            allowed = {a.dest for a in chosen._actions}
-            unknown = sorted(set(cfg) - allowed - {"seed"})
+            chosen = subs.choices[args.command]
+            unknown = sorted(set(cfg) - {a.dest for a in chosen._actions})
             if unknown:
                 raise DomainError(f"unknown config keys {unknown}")
-            chosen.set_defaults(**{k: v for k, v in cfg.items()
-                                   if k != "seed"})
+            chosen.set_defaults(**cfg)
             args = parser.parse_args(argv)
-        seed = _resolve_seed(args, cfg)
-        args._seed = seed
-        np.random.seed(seed % 2 ** 32)
-        return _HANDLERS[args.command](args)
-    except GrowthLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        t0 = time.perf_counter()
+        checks, table = _HANDLERS[args.command](args)
+        return finish(args, checks, table, t0)
+    except (GrowthLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -138,11 +138,7 @@ def curvature_bound(tag: str, **params) -> CurvatureLowerBound:
             g=lambda r: np.full_like(np.asarray(r, dtype=float), c),
             tag=tag, params=(("c", c),))
     if tag == "power_decay":
-        A = float(params.pop("A"))
-        eps = float(params.pop("eps"))
-        _no_extras(params)
-        if A <= 0 or eps <= 0:
-            raise DomainError("power_decay needs A > 0 and eps > 0")
+        A, eps = _power_decay_params(params)
         return CurvatureLowerBound(
             g=lambda r: -A / (1.0 + np.asarray(r, dtype=float)) ** (2 + eps),
             tag=tag, params=(("A", A), ("eps", eps)))
@@ -172,6 +168,15 @@ def curvature_bound(tag: str, **params) -> CurvatureLowerBound:
 def _no_extras(params: dict) -> None:
     if params:
         raise DomainError(f"unexpected parameters {sorted(params)}")
+
+
+def _power_decay_params(params: dict) -> tuple:
+    A = float(params.pop("A"))
+    eps = float(params.pop("eps"))
+    _no_extras(params)
+    if A <= 0 or eps <= 0:
+        raise DomainError("power_decay needs A > 0 and eps > 0")
+    return A, eps
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +246,7 @@ def closed_form_supersolution(tag: str, **params) -> Supersolution:
                                / np.sinh(2.0 * np.asarray(r, dtype=float)) ** 2),
             g=curvature_bound("cigar"), tag=tag)
     if tag == "power_decay":
-        A = float(params.pop("A"))
-        eps = float(params.pop("eps"))
-        _no_extras(params)
-        if A <= 0 or eps <= 0:
-            raise DomainError("power_decay needs A > 0 and eps > 0")
+        A, eps = _power_decay_params(params)
 
         def u(r):
             r_arr = np.asarray(r, dtype=float)
@@ -518,11 +519,7 @@ def closed_form_convexifier(tag: str, **params) -> Convexifier:
             normalization_residual=_nres_of(lambda r: float(_log_sinh(r))),
             tag=tag)
     if tag == "power_decay":
-        A = float(params.pop("A"))
-        eps = float(params.pop("eps"))
-        _no_extras(params)
-        if A <= 0 or eps <= 0:
-            raise DomainError("power_decay needs A > 0 and eps > 0")
+        A, eps = _power_decay_params(params)
         return _power_decay_convexifier(A, eps)
     raise DomainError(f"unknown convexifier tag {tag!r}")
 

@@ -362,7 +362,7 @@ def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int,
 
 
 def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
-                rs: np.ndarray, samples: int, refine: bool) -> np.ndarray:
+                rs: np.ndarray, refine: bool) -> np.ndarray:
     """max |f| over the geodesic balls of radii rs (positive) about center."""
     if f.n != model.n:
         raise DomainError("polynomial and model dimension differ")
@@ -375,12 +375,12 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
         if len(f.coeffs) == 1:
             return _monomial_max(f, rho)
         if f.n > 1:
-            return _sphere_max(f, rho, max(samples, 240 * 2 * f.n), refine)
+            return _sphere_max(f, rho, 480 * f.n, refine)
         circle = lambda phi: np.multiply.outer(rho, np.exp(1j * phi))
     else:
         circle = geodesic_circle(model, center, rs)
 
-    count = max(samples, 720, 16 * max(f.degree, 1))
+    count = max(720, 16 * max(f.degree, 1))
     phis = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
     vals = np.abs(f.eval(circle(phis)))
     peak = np.argmax(vals, axis=1)
@@ -397,19 +397,17 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
 
 
 def max_modulus(model: RadialKahlerModel, f: HoloPoly, center=None,
-                r: float = None, samples: int = 720,
-                refine: bool = True) -> float:
+                r: float = None, refine: bool = True) -> float:
     """max |f| over the geodesic ball of radius r about center.
 
     The one-radius case of growth_curve.  Single monomials centered at
     the origin use the closed form.  Otherwise |f| is sampled on the
-    geodesic sphere: on a circle (n = 1) at max(samples, 720, 16 deg)
-    launch angles, the best one refined by a bounded scalar search; on
-    the sphere of C^n (n >= 2) at max(samples, 480 n) fixed Halton
-    directions, the best 32 climbed by a Riemannian Newton ascent to
-    rounding level.  refine=False returns the best sample: with a fixed
-    direction set the bias is nearly scale-independent, good enough for
-    slope fits.
+    geodesic sphere: on a circle (n = 1) at max(720, 16 deg) launch
+    angles, the best one refined by a bounded scalar search; on the
+    sphere of C^n (n >= 2) at 480 n fixed Halton directions, the best 32
+    climbed by a Riemannian Newton ascent to rounding level.
+    refine=False returns the best sample: with a fixed direction set the
+    bias is nearly scale-independent, good enough for slope fits.
     """
     if r is None:
         raise DomainError("max_modulus needs a radius")
@@ -417,7 +415,7 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center=None,
         raise DomainError("radius must be positive")
     center = f.basepoint if center is None else complex(center)
     return float(_max_moduli(model, f, center, np.array([float(r)]),
-                             samples, refine)[0])
+                             refine)[0])
 
 
 def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
@@ -437,7 +435,7 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
         raise DomainError("radii must be positive and strictly increasing")
     center = f.basepoint if center is None else complex(center)
     exact = (center == 0) and len(f.coeffs) == 1
-    vals = _max_moduli(model, f, center, rs, 720, refine)
+    vals = _max_moduli(model, f, center, rs, refine)
     drop = vals[1:] < vals[:-1] * (1.0 - 1e-9)
     if np.any(drop):
         raise MaximizationError(

@@ -39,13 +39,7 @@ from growthlab import (
     three_circle_check,
     verify_supersolution,
 )
-from growthlab.cli import (
-    _five_profiles,
-    _suite_dimension,
-    _suite_homogeneity,
-    _suite_ode_catalog,
-    _suite_sharpness,
-)
+from growthlab.cli import SUITES, five_profiles
 
 SEED = 20260815
 
@@ -78,7 +72,7 @@ def _assert_suite(checks: list) -> None:
 
 def test_acceptance_1_sharpness(criterion) -> None:
     with criterion(1, "sharpness-equality"):
-        checks = _suite_sharpness(SEED)
+        checks = SUITES["sharpness"]()
         assert len(checks) == 6
         _assert_suite(checks)
         assert max(c["witness"]["spread"] for c in checks) <= 1e-6
@@ -150,7 +144,7 @@ def test_acceptance_4_deficit_law(criterion) -> None:
         expected = {"flat": 0.0, "cigar": 1.0 / 6.0,
                     "hyperbolic": -1.0 / 12.0, "sphere": 1.0 / 12.0,
                     "poly(1+rho^2)": -1.0 / 3.0}
-        for name, model in _five_profiles():
+        for name, model in five_profiles():
             top = 0.19 * min(1.0, model.r_max)
             grid = np.linspace(top / 8.0, top, 12)
             fitted = necessity_deficit(model, grid)
@@ -164,7 +158,7 @@ def test_acceptance_4_deficit_law(criterion) -> None:
 
 def test_acceptance_5_ode_catalog(criterion) -> None:
     with criterion(5, "ode-catalog"):
-        checks = _suite_ode_catalog(SEED)
+        checks = SUITES["ode-catalog"]()
         assert len(checks) == 6
         _assert_suite(checks)
         for c in checks:
@@ -181,7 +175,7 @@ def test_acceptance_5_ode_catalog(criterion) -> None:
 def test_acceptance_6_jacobi_cross_oracle(criterion) -> None:
     with criterion(6, "jacobi-cross-oracle"):
         from growthlab import radial_curvature
-        for name, model in _five_profiles():
+        for name, model in five_profiles():
             hi = min(5.0, model.r_max - 0.05)
             g = curvature_bound("custom",
                                 g=lambda r, m=model: radial_curvature(m, r))
@@ -235,7 +229,7 @@ def test_acceptance_8_dimension_arithmetic(criterion) -> None:
         assert abs(b - 0.11771) <= 5e-6
         for x in (a, b):
             assert abs(2.0 * x * x - x + 0.5 * 0.18) <= 1e-12
-        checks = _suite_dimension(SEED)
+        checks = SUITES["dimension"]()
         _assert_suite(checks)
 
 
@@ -244,7 +238,7 @@ def test_acceptance_8_dimension_arithmetic(criterion) -> None:
 
 def test_acceptance_9_homogeneity(criterion) -> None:
     with criterion(9, "homogeneity-at-scale"):
-        checks = _suite_homogeneity(SEED)
+        checks = SUITES["homogeneity"]()
         _assert_suite(checks)
         flat = next(c for c in checks if c["name"].startswith("homogeneity flat"))
         values = flat["witness"]["values"]

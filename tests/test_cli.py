@@ -1,6 +1,9 @@
 """End-to-end tests for the lab command line runner."""
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from growthlab import comparison_ode
 from growthlab.cli import main, parse_complex, parse_function, parse_radii
 from growthlab.errors import DomainError
 
+ROOT = Path(__file__).resolve().parents[1]
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -168,7 +172,7 @@ def test_json_report_contents(tmp_path):
     rep = json.loads(path.read_text())
     assert rep["command"] == "three-circle"
     assert rep["all_passed"] is True
-    assert rep["seed"] == 2026
+    assert "seed" not in rep
     assert rep["version"]
     assert rep["config"]["f"] == "z^2"
     (check,) = rep["checks"]
@@ -181,7 +185,7 @@ def test_json_report_contents(tmp_path):
 def test_three_circle_table_model_auto_h(tmp_path):
     # auto h on a spline-table model: solve_convexifier evaluates the
     # table's u once per right-hand side call, so u must be cheap
-    table = Path(__file__).resolve().parents[1] / "perfbench" / "cigar_61.txt"
+    table = ROOT / "perfbench" / "cigar_61.txt"
     path = tmp_path / "r.json"
     code = main(["three-circle", "--model", "table", "--table", str(table),
                  "--f", "z+z^3", "--radii", "0.2:1.5:6", "--json", str(path)])
@@ -206,6 +210,26 @@ def test_curvature_table(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "r,H,u"
     assert len(lines) == 13
+
+
+@pytest.mark.parametrize("argv, header, rows", [
+    (["ode", "--g", "constant", "--c", "1", "--r-end", "5"],
+     "r,u,residual", 400),
+    (["monotonicity", "--model", "flat", "--f", "z^2",
+      "--radii", "0.5:20:12", "--d", "2"], "r,h,M,logM,t", 12),
+    (["necessity", "--model", "hyperbolic"], "r,ratio", 12),
+    (["homogeneity", "--model", "flat", "--f", "z^2+z",
+      "--radii", "100,1000"], "r,value", 2),
+])
+def test_csv_tables(tmp_path, argv, header, rows):
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "r.json"
+    assert main(argv + ["--csv", str(csv_path), "--json", str(json_path)]) == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == rows + 1
+    radii = [float(line.split(",")[0]) for line in lines[1:]]
+    assert np.all(np.diff(radii) > 0)
+    assert json.loads(json_path.read_text())["csv_files"] == [str(csv_path)]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +285,7 @@ def test_suite_unknown_name():
 
 
 # ---------------------------------------------------------------------------
-# config file and seed precedence
+# config file
 
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -291,23 +315,34 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
-def _report_seed(tmp_path, extra, monkeypatch=None, env=None):
-    if env is not None:
-        monkeypatch.setenv("LAB_SEED", env)
-    path = tmp_path / "seed.json"
-    code = main(["dimension", "--regime", "poly", "--n", "1", "--d", "3",
-                 "--json", str(path)] + extra)
-    assert code == 0
-    return json.loads(path.read_text())["seed"]
-
-
-def test_seed_precedence(tmp_path, monkeypatch):
-    monkeypatch.delenv("LAB_SEED", raising=False)
-    assert _report_seed(tmp_path, []) == 2026
+def test_config_errors_exit_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 9}))
-    assert _report_seed(tmp_path, ["--config", str(cfg)]) == 9
-    assert _report_seed(tmp_path, ["--config", str(cfg)],
-                        monkeypatch, env="7") == 7
-    assert _report_seed(tmp_path, ["--config", str(cfg), "--seed", "3"],
-                        monkeypatch, env="7") == 3
+    cfg.write_text('{"model": ')
+    assert main(["three-circle", "--config", str(cfg)]) == 2
+    assert "config file" in capsys.readouterr().err
+    # the seed key was removed with the seed plumbing
+    cfg.write_text(json.dumps({"seed": 7}))
+    assert main(["dimension", "--regime", "poly", "--config", str(cfg)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# module entry point
+
+def _run_module(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "growthlab.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120, check=False)
+
+
+def test_module_entry_point(tmp_path):
+    path = tmp_path / "r.json"
+    res = _run_module("suite", "dimension", "--json", str(path))
+    assert res.returncode == 0, res.stderr
+    assert len(json.loads(path.read_text())["checks"]) == 3
+    res = _run_module("suite", "dimension", "--seed", "3")
+    assert res.returncode == 2
+    assert "--seed" in res.stderr
