@@ -16,8 +16,9 @@ with complex coefficients written as ``a+bi``; whitespace is ignored.
 Radii grids are ``start:stop:count`` (logarithmic unless
 ``--spacing linear``) or explicit comma lists.
 
-Every run can write a CSV curve (``--csv``) and a JSON report
-(``--json``).  Exit status: 0 when all selected checks pass, 1 when a
+Every run can write a JSON report (``--json``); the commands that
+tabulate a curve (all but dimension and suite) also write it as CSV
+(``--csv``).  Exit status: 0 when all selected checks pass, 1 when a
 check reports a mathematical violation (inverted by
 ``--expect-violation``: a detected violation is then the desired
 outcome), 2 on usage or validation errors.  ``--config FILE`` supplies
@@ -703,9 +704,11 @@ def _cmd_suite(args):
 def build_parser():
     """The lab parser and its subparsers action (name -> parser in choices)."""
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--csv", help="write the curve CSV here")
     out.add_argument("--json", help="write the JSON run report here")
     out.add_argument("--config", help="JSON file with default option values")
+    # only the commands that return a table accept --csv
+    csv_out = argparse.ArgumentParser(add_help=False, parents=[out])
+    csv_out.add_argument("--csv", help="write the curve CSV here")
 
     mod = argparse.ArgumentParser(add_help=False)
     mod.add_argument("--model", default="flat",
@@ -729,12 +732,12 @@ def build_parser():
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("curvature", parents=[mod, out],
+    p = subs.add_parser("curvature", parents=[mod, csv_out],
                         help="tabulate curvature and radial Hessian")
     p.add_argument("--radii", default="0.05:5:40")
     p.add_argument("--spacing", choices=["log", "linear"], default="log")
 
-    p = subs.add_parser("ode", parents=[out],
+    p = subs.add_parser("ode", parents=[csv_out],
                         help="solve and verify the comparison equation")
     p.add_argument("--g",
                    choices=["constant", "power_decay", "cigar"])
@@ -745,7 +748,7 @@ def build_parser():
     p.add_argument("--grid-lo", dest="grid_lo", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-8)
 
-    p = subs.add_parser("three-circle", parents=[mod, out, expect],
+    p = subs.add_parser("three-circle", parents=[mod, csv_out, expect],
                         help="log M_f convexity in h")
     p.add_argument("--f", help="monomial-sum expression")
     p.add_argument("--center", help="basepoint, n = 1 only")
@@ -754,7 +757,7 @@ def build_parser():
     p.add_argument("--h", default="auto", help="auto | logr")
     p.add_argument("--tol", type=float, default=1e-6)
 
-    p = subs.add_parser("monotonicity", parents=[mod, out, expect],
+    p = subs.add_parser("monotonicity", parents=[mod, csv_out, expect],
                         help="log M_f - d h monotonicity")
     p.add_argument("--f")
     p.add_argument("--radii")
@@ -766,14 +769,14 @@ def build_parser():
                    default="nonincreasing")
     p.add_argument("--tol", type=float, default=1e-7)
 
-    p = subs.add_parser("necessity", parents=[mod, out, expect],
+    p = subs.add_parser("necessity", parents=[mod, csv_out, expect],
                         help="small-radius deficit versus H(0)/12")
     p.add_argument("--radii", default=None,
                    help="fit grid; default inside (0, 0.2 min(1, r_max))")
     p.add_argument("--rtol", type=float, default=0.05)
     p.add_argument("--atol", type=float, default=1e-3)
 
-    p = subs.add_parser("homogeneity", parents=[mod, out, expect],
+    p = subs.add_parser("homogeneity", parents=[mod, csv_out, expect],
                         help="asymptotic homogeneity defect")
     p.add_argument("--f")
     p.add_argument("--K", type=float, default=2.0)

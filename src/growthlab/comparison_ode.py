@@ -22,6 +22,12 @@ The two trigonometric forms are stored with their normalizing factor 2
 (so that e^h/r -> 1); the offset log 2 against the bare log-tanh and
 log-tan shapes is reported in Convexifier.stated_offset.
 
+solve_riccati_equality integrates the Riccati equation with DOP853 and
+solve_convexifier builds h without an ODE stepper: two cumulative
+spectral integrals in t = log r, dV/dt = r u - 1/2 and
+dQ/dt = expm1(-2V), on Chebyshev panels that split where u needs it.
+The power-decay h uses the same Q integral with its exact V = -phi/2.
+
 Sign conventions here follow the supersolution inequality above: for a
 power-decay bound g = -A/(1+r)^(2+eps) the residual of the catalog u is
 nonnegative (for eps < 1/2), and that is the direction verified.
@@ -41,7 +47,9 @@ from .errors import BlowDownError, BudgetError, DomainError
 
 _R0_CHECK = 1e-4    # normalization probe radius
 _R_SERIES = 1e-6    # below this the Riccati solution uses its series start
-_MAX_RHS = 50_000   # right-hand side evaluations per Riccati or h solve
+# budget per solve: right-hand side evaluations of the Riccati solve,
+# points of u (summed over the panel rounds) of the h quadrature
+_MAX_RHS = 50_000
 
 __all__ = [
     "CurvatureLowerBound",
@@ -189,6 +197,8 @@ def make_supersolution(u: Callable, u_prime: Callable | None = None,
                        tag: str = "custom", params: tuple = ()) -> Supersolution:
     """Wrap a user-supplied u.
 
+    u must accept 1-d arrays of radii: solve_convexifier evaluates it on
+    whole arrays of quadrature nodes.
     origin_normalized=None probes |2 u(r0) r0 - 1| at r0 = 1e-4; pass the
     flag explicitly for families whose limit normalization holds but whose
     finite-r deviation is first order in r (power-decay supersolutions).
@@ -417,11 +427,14 @@ def verify_supersolution(u: Supersolution, g: CurvatureLowerBound,
 def solve_convexifier(u: Supersolution, r_end: float | None = None) -> Convexifier:
     """Build h from u by quadrature: h' = e^{-2 V(r)}/r, V = int (u - 1/2t).
 
-    V's integrand is regular at 0 (it vanishes like r when 2ur -> 1), so
-    the log-singular part of h is handled exactly: h = log r + Q(r) with
-    Q' = (e^{-2V} - 1)/r, then h is shifted so e^{h(r0)}/r0 = 1 exactly
-    at r0 = 1e-4.  A solve that needs more than _MAX_RHS evaluations of u
-    raises BudgetError.
+    V's integrand is regular at 0, where it tends to lim (2ur - 1)/(2r):
+    0 for Riccati solutions, A for the power-decay u.  V starts at its
+    true value r_s u(r_s) - 1/2 at r_s = 2^-27, and the log-singular part
+    of h is handled exactly: h = log r + Q(r) with Q' = (e^{-2V} - 1)/r,
+    then h is shifted so e^{h(r0)}/r0 = 1 exactly at r0 = 1e-4.  Both
+    integrals run on the adaptive Chebyshev panels of _log_r_panels, so
+    u must accept arrays; a solve that needs more than _MAX_RHS points of
+    u raises BudgetError.
     """
     if not u.origin_normalized:
         raise DomainError("solve_convexifier needs an origin-normalized u")
@@ -431,47 +444,115 @@ def solve_convexifier(u: Supersolution, r_end: float | None = None) -> Convexifi
     if math.isfinite(u.r_max) and hi >= u.r_max and u.blow_down is None:
         hi = u.r_max * (1.0 - 1e-6)
 
-    def rhs(r, y):
-        du = float(u(r)) - 0.5 / r
-        return [du, (math.exp(-2.0 * y[0]) - 1.0) / r]
-
-    sol = integrate.solve_ivp(_budgeted(rhs, "convexifier quadrature"),
-                              (1e-8, hi), [0.0, 0.0], method="DOP853",
-                              rtol=1e-11, atol=1e-13, dense_output=True)
-    if not sol.success:
-        raise DomainError(f"convexifier quadrature failed: {sol.message}")
-    dense = sol.sol
-    q_anchor = float(dense(_R0_CHECK)[1])
-
-    def _vq(r_arr):
-        out = dense(np.clip(r_arr, 1e-8, hi))
-        return out[0], out[1]
-
-    def h(r):
-        r_arr = np.asarray(r, dtype=float)
-        _check_domain(r_arr, hi)
-        _, q = _vq(np.atleast_1d(r_arr))
-        out = np.log(np.atleast_1d(r_arr)) + q - q_anchor
-        return float(out[0]) if np.ndim(r) == 0 else out.reshape(r_arr.shape)
+    # dV/dt = r u - 1/2, whose value at the first node r_s is V(r_s)
+    a, b, _, rate = _log_r_panels(
+        lambda r: r * (np.asarray(u(r), dtype=float) - 0.5 / r), hi)
+    v = _cumulative(a, b, rate, rate[0, 0])
+    v_of = _interpolant(a, b, v, hi)
+    h = _log_r_h(a, b, v, hi)
 
     def h_prime(r):
         r_arr = np.asarray(r, dtype=float)
         _check_domain(r_arr, hi)
-        v, _ = _vq(np.atleast_1d(r_arr))
-        out = np.exp(-2.0 * v) / np.atleast_1d(r_arr)
-        return float(out[0]) if np.ndim(r) == 0 else out.reshape(r_arr.shape)
+        return np.exp(-2.0 * v_of(r_arr)) / r_arr
 
     def h_second(r):
         r_arr = np.asarray(r, dtype=float)
         _check_domain(r_arr, hi)
-        hp = h_prime(r_arr)
-        return -2.0 * np.asarray(u(r_arr), dtype=float) * hp
+        return -2.0 * np.asarray(u(r_arr), dtype=float) * h_prime(r_arr)
 
-    r0 = _R0_CHECK
-    nres = abs(math.exp(h(r0)) / r0 - 1.0)
     return Convexifier(h=h, h_prime=h_prime, h_second=h_second,
-                       normalization_residual=nres, stated_offset=0.0,
-                       domain=(0.0, hi), tag=f"solved[{u.tag}]")
+                       normalization_residual=_nres_of(lambda r: float(h(r))),
+                       stated_offset=0.0, domain=(0.0, hi),
+                       tag=f"solved[{u.tag}]")
+
+
+# Chebyshev panels in t = log r: 16 Lobatto points per panel, ascending
+_R_LO = 2.0 ** -27                  # where the first panel starts
+_X = -np.cos(np.pi * np.arange(16) / 15.0)
+_K = np.arange(16)
+# node values -> coefficients, c_k = (2/15) sum'' f_j T_k(x_j) with the end
+# nodes and c_0, c_15 halved: the exact inverse of the Vandermonde matrix,
+# so that importing runs no LAPACK (np.linalg.inv adds 0.6 MB to RSS)
+_TO_COEF = np.polynomial.chebyshev.chebvander(_X, 15).T * (2.0 / 15.0)
+_TO_COEF[:, [0, -1]] *= 0.5
+_TO_COEF[[0, -1]] *= 0.5
+# node values -> integral of their interpolant from -1 up to each node
+_CUMINT = np.polynomial.chebyshev.chebval(
+    _X, np.polynomial.chebyshev.chebint(_TO_COEF, lbnd=-1.0, axis=0)).T
+
+
+def _log_r_panels(rate: Callable, hi: float):
+    """Panels [a, b] in t = log r covering [2^-27, hi], radii at their
+    nodes, and rate at those radii.
+
+    Octave panels are halved while the tail of a panel's Chebyshev
+    coefficients, half (|c_14| + |c_15|), exceeds 1e-14 (1 + max|rate|).
+    Each round calls rate once, on the nodes of all new panels (clamped
+    to [2^-27, hi]); more than _MAX_RHS points in all raise BudgetError.
+    """
+    if not hi > _R_LO:
+        raise DomainError(f"h needs r_end > {_R_LO:g}")
+    octaves = np.arange(math.log2(_R_LO), math.ceil(math.log2(hi)))
+    edges = np.append(octaves * math.log(2.0), math.log(hi))
+    a, b = edges[:-1], edges[1:]
+    done, spent, scale = [], 0, 0.0
+    while a.size:
+        r = np.clip(np.exp(0.5 * (a + b)[:, None]
+                           + 0.5 * (b - a)[:, None] * _X), _R_LO, hi)
+        spent += r.size
+        if spent > _MAX_RHS:
+            raise BudgetError(f"convexifier quadrature used up its budget of "
+                              f"{_MAX_RHS} u points")
+        f = np.asarray(rate(r.ravel()), dtype=float).reshape(r.shape)
+        if not np.all(np.isfinite(f)):
+            raise DomainError(
+                f"u is not finite at r = {r[~np.isfinite(f)][0]:g}")
+        scale = max(scale, float(np.max(np.abs(f))))
+        coef = f @ _TO_COEF.T
+        tail = 0.5 * (b - a) * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
+        split = tail > 1e-14 * (1.0 + scale)
+        done.append((a[~split], b[~split], r[~split], f[~split]))
+        mid = 0.5 * (a + b)[split]
+        a, b = (np.concatenate([a[split], mid]),
+                np.concatenate([mid, b[split]]))
+    a, b, r, f = (np.concatenate(x) for x in zip(*done))
+    order = np.argsort(a)
+    return a[order], b[order], r[order], f[order]
+
+
+def _cumulative(a, b, f, y0: float) -> np.ndarray:
+    """y0 plus the integral in t of the panel interpolants of f, from the
+    first node to every node."""
+    part = 0.5 * (b - a)[:, None] * (f @ _CUMINT.T)
+    start = y0 + np.concatenate([[0.0], np.cumsum(part[:-1, -1])])
+    return start[:, None] + part
+
+
+def _interpolant(a, b, y, hi: float) -> Callable:
+    """r -> the panel interpolant of the node values y at log r, with r
+    clamped to [2^-27, hi]."""
+    coef = y @ _TO_COEF.T
+    inner = a[1:]
+
+    def at(r):
+        t = np.log(np.clip(r, _R_LO, hi))
+        j = np.searchsorted(inner, t, "right")
+        s = np.clip((2.0 * t - a[j] - b[j]) / (b[j] - a[j]), -1.0, 1.0)
+        return (coef[j] * np.cos(np.arccos(s)[..., None] * _K)).sum(-1)
+    return at
+
+
+def _log_r_h(a, b, v, hi: float) -> Callable:
+    """h = log r + Q - Q(r0) with dQ/dt = expm1(-2V), from V at the nodes."""
+    q_of = _interpolant(a, b, _cumulative(a, b, np.expm1(-2.0 * v), 0.0), hi)
+    q_anchor = float(q_of(_R0_CHECK))
+
+    def h(r):
+        r_arr = np.asarray(r, dtype=float)
+        _check_domain(r_arr, hi)
+        return np.log(r_arr) + q_of(r_arr) - q_anchor
+    return h
 
 
 def _check_domain(r_arr, hi):
@@ -538,41 +619,19 @@ def _power_decay_convexifier(A: float, eps: float,
                              r_table_end: float = 1e6) -> Convexifier:
     # h' = exp(phi)/r with phi = 2A/(eps (1+r)^eps) - 2A/eps; the residual
     # (1/2) h'' + h' u vanishes identically for the matching catalog u.
-    # h = log r + Q, Q' = (e^phi - 1)/r, integrated once on a log grid.
+    # h = log r + Q, Q' = (e^phi - 1)/r: V = -phi/2 is exact, and the
+    # panels are those on which the catalog u's dV/dt = r u - 1/2 resolves
     def phi(r_arr):
         return 2.0 * A / (eps * (1.0 + r_arr) ** eps) - 2.0 * A / eps
 
-    def rhs(t, y):
-        r = math.exp(t)
-        return [math.expm1(phi(np.asarray(r)))]
-
-    t_lo, t_hi = math.log(1e-8), math.log(r_table_end)
-    sol = integrate.solve_ivp(rhs, (t_lo, t_hi), [0.0], method="DOP853",
-                              rtol=1e-12, atol=1e-14, dense_output=True)
-    if not sol.success:
-        raise DomainError(f"power_decay quadrature failed: {sol.message}")
-    dense = sol.sol
-
-    def q_of(r_arr):
-        t = np.log(np.clip(r_arr, 1e-8, r_table_end))
-        return dense(t)[0]
-
-    # Q(0) = 0 gives the limit normalization, but Q deviates at first
-    # order in r; anchor at the probe radius like solve_convexifier does
-    q_anchor = float(q_of(np.asarray(_R0_CHECK)))
-
-    def h(r):
-        r_arr = np.asarray(r, dtype=float)
-        _check_domain(r_arr, r_table_end)
-        out = (np.log(np.atleast_1d(r_arr))
-               + q_of(np.atleast_1d(r_arr)) - q_anchor)
-        return float(out[0]) if np.ndim(r) == 0 else out.reshape(r_arr.shape)
+    a, b, r_nodes, _ = _log_r_panels(
+        lambda r: A * r / (1.0 + r) ** (1 + eps), r_table_end)
+    h = _log_r_h(a, b, -0.5 * phi(r_nodes), r_table_end)
 
     def h_prime(r):
         r_arr = np.asarray(r, dtype=float)
         _check_domain(r_arr, r_table_end)
-        out = np.exp(phi(np.atleast_1d(r_arr))) / np.atleast_1d(r_arr)
-        return float(out[0]) if np.ndim(r) == 0 else out.reshape(r_arr.shape)
+        return np.exp(phi(r_arr)) / r_arr
 
     def h_second(r):
         r_arr = np.asarray(r, dtype=float)

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from growthlab import comparison_ode
-from growthlab.cli import main, parse_complex, parse_function, parse_radii
+from growthlab import (comparison_ode, distance_from_origin,
+                       load_profile_table, model_from_profile, model_hessian)
+from growthlab.cli import (main, parse_complex, parse_function, parse_radii,
+                           resolve_h)
 from growthlab.errors import DomainError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -184,7 +187,7 @@ def test_json_report_contents(tmp_path):
 
 def test_three_circle_table_model_auto_h(tmp_path):
     # auto h on a spline-table model: solve_convexifier evaluates the
-    # table's u once per right-hand side call, so u must be cheap
+    # table's u on whole arrays of panel nodes, a few calls per solve
     table = ROOT / "perfbench" / "cigar_61.txt"
     path = tmp_path / "r.json"
     code = main(["three-circle", "--model", "table", "--table", str(table),
@@ -192,6 +195,30 @@ def test_three_circle_table_model_auto_h(tmp_path):
     assert code == 0
     (check,) = json.loads(path.read_text())["checks"]
     assert check["verdict"] == "pass"
+
+
+def test_table_model_auto_h_prime_matches_quadrature():
+    # the table's u is only C^1 (the spline's lam''' jumps at the knots, so
+    # u'' does), and the panels must split near the knots; the reference
+    # V = int (u - 1/2s) is adaptive quad with breakpoints at the knots in r
+    table = ROOT / "perfbench" / "cigar_61.txt"
+    model = model_from_profile(load_profile_table(str(table)))
+    h = resolve_h("auto", model, np.array([1.5]))
+    assert h.domain[1] == pytest.approx(1.875)
+    rho = np.loadtxt(table)[:, 0]
+    knots = distance_from_origin(model, rho[1:-1])
+    grid = np.geomspace(1e-3, 1.875, 60)
+    ends = np.union1d(grid, knots[knots < 1.875])
+
+    def integrand(s):
+        return float(model_hessian(model, s)) - 0.5 / s
+
+    pieces = [quad(integrand, 0.0, ends[0], epsabs=1e-15, epsrel=1e-13)[0]]
+    pieces += [quad(integrand, x, y, epsabs=1e-15, epsrel=1e-13)[0]
+               for x, y in zip(ends[:-1], ends[1:])]
+    v = np.cumsum(pieces)[np.searchsorted(ends, grid)]
+    want = np.exp(-2.0 * v) / grid
+    assert np.max(np.abs(np.asarray(h.h_prime(grid)) / want - 1.0)) <= 1e-9
 
 
 def test_evaluation_budget_exit_code(monkeypatch, capsys):
@@ -276,6 +303,16 @@ def test_suite_dimension(capsys):
     assert main(["suite", "dimension"]) == 0
     out = capsys.readouterr().out
     assert "3/3 passed" in out
+
+
+@pytest.mark.parametrize("argv", [["suite", "dimension"],
+                                  ["dimension", "--regime", "poly"]])
+def test_csv_rejected_without_a_table(tmp_path, argv):
+    path = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--csv", str(path)])
+    assert exc.value.code == 2
+    assert not path.exists()
 
 
 def test_suite_unknown_name():

@@ -1,10 +1,12 @@
 """Riccati supersolutions, convexifiers, growth exponents."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from growthlab import (
     BlowDownError,
@@ -142,6 +144,44 @@ def test_solved_convexifier_power_decay():
     grid = np.geomspace(0.01, 49.0, 140)
     d = np.asarray(hn(grid)) - np.asarray(hc(grid))
     assert np.max(np.abs(d - np.median(d))) <= 1e-7
+
+
+@pytest.mark.parametrize("A,eps", [(1.0, 0.4), (0.05, 0.49)])
+def test_solved_power_decay_h_matches_quadrature(A, eps):
+    # V's integrand tends to A at r = 0, so V must start at A r_s, not 0;
+    # the reference integrates the closed-form h' with adaptive quad
+    def h_prime(r):
+        return math.exp(2.0 * A / (eps * (1.0 + r) ** eps) - 2.0 * A / eps) / r
+
+    grid = np.geomspace(1e-3, 29.4, 200)
+    ref = np.concatenate([[0.0], np.cumsum([
+        quad(h_prime, x, y, epsabs=1e-15, epsrel=1e-13)[0]
+        for x, y in zip(grid[:-1], grid[1:])])])
+    u = closed_form_supersolution("power_decay", A=A, eps=eps)
+    d = np.asarray(solve_convexifier(u, r_end=29.4)(grid)) - ref
+    assert np.max(np.abs(d - np.median(d))) <= 1e-10
+
+
+def test_convexifier_calls_u_with_arrays_only(monkeypatch):
+    def no_ivp(*args, **kwargs):
+        raise AssertionError("h must not be built by solve_ivp")
+
+    solved = solve_riccati_equality(curvature_bound("cigar"), r_end=12.0)
+    monkeypatch.setattr(comparison_ode.integrate, "solve_ivp", no_ivp)
+    for base in (closed_form_supersolution("power_decay", A=1.0, eps=0.4),
+                 solved):
+        args = []
+
+        def u(r, base=base):
+            args.append(r)
+            return base.u(r)
+
+        h = solve_convexifier(replace(base, u=u), r_end=10.0)
+        assert 0 < len(args) <= 40
+        assert all(isinstance(r, np.ndarray) and r.ndim == 1 for r in args)
+        assert np.isfinite(h(np.geomspace(1e-3, 10.0, 50))).all()
+    h = closed_form_convexifier("power_decay", A=1.0, eps=0.4)
+    assert h.normalization_residual <= 1e-12
 
 
 def test_solved_convexifier_second_derivative_consistent():
