@@ -22,11 +22,11 @@ Two tools are used:
 
 * The Cartesian geodesic equation z'' = -F(|z|) conj(z) z'^2 with
   F = (log lam)'(rho)/rho, which is regular through the origin because lam
-  is even.  It drives exponential-map circles about off-center points
-  through one vectorized Cash-Karp RKF45 stepper with per-member adaptive
-  steps, so a batch of launch angles costs one pass, and circles of
-  several radii about one center share it: the pass stops at each radius
-  in turn.
+  is even.  It drives off-center exponential-map circles on profiles
+  without closed-form ones (conformal_poly, tables, bare profiles) through
+  one vectorized Cash-Karp RKF45 stepper with per-member adaptive steps,
+  so a batch of launch angles costs one pass, and circles of several
+  radii about one center share it: the pass stops at each radius in turn.
 """
 from __future__ import annotations
 

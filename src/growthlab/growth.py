@@ -17,8 +17,8 @@ one-radius case:
 
   * monomials centered at the origin have a closed form;
   * n = 1: |f| is sampled on each circle and the best sample refined by a
-    bounded scalar search.  Off-center circles (n = 1 only) come from one
-    integration of the exponential map through every radius;
+    bounded scalar search.  Off-center circles (n = 1 only) are closed
+    forms or, without one, one exp-map integration through every radius;
   * n >= 2: |f| is sampled at fixed Halton directions on each sphere, and
     the best 32 per sphere climb together, over all radii at once, by a
     saddle-free Riemannian Newton ascent of |f|^2 to rounding level.  A
@@ -425,8 +425,8 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
 
     All radii are evaluated together by the method of max_modulus: the
     sphere ascents of every radius run as one batch (and climb once more
-    from each other radius's best direction), and off-center balls share
-    one integration of the exponential map through every radius.
+    from each other radius's best direction), and off-center balls take
+    closed-form circles or share one exp-map integration of all radii.
     """
     rs = np.asarray(radii, dtype=float)
     if rs.ndim != 1 or rs.size == 0:

@@ -74,7 +74,8 @@ class RadialProfile:
     """Conformal factor of the line metric, with optional analytic derivatives.
 
     lam must accept numpy arrays.  Without d_lam / d2_lam, model_from_profile
-    differentiates log lam itself and fills in log_d1_over_rho.
+    differentiates log lam itself.  Only the integrated exp-map circles of
+    models without f_circle read log_d1_over_rho; the table backend fills it.
     """
 
     lam: Callable
@@ -103,6 +104,7 @@ class RadialKahlerModel:
     f_hessian: Callable                      # u(r)
     params: tuple = ()
     f_pair_distance: Callable | None = None  # d(p, q), complex args
+    f_circle: Callable | None = None         # (center, r) -> (phi -> z)
 
     def __post_init__(self):
         if self.n < 1:
@@ -112,12 +114,44 @@ class RadialKahlerModel:
 # ---------------------------------------------------------------------------
 # profile / model constructors
 
+def _moebius_circle(f_rho_of_r: Callable, s: float) -> Callable:
+    """Isometry T(w) = (w + p) / (1 + s conj(p) w) of w = rho(r) e^{i(phi +
+    arg p)}; s = 0, 1, -1 on flat, hyperbolic, sphere.  T'(0) > 0 keeps phi."""
+    def circle(p, r):
+        rho = f_rho_of_r(np.asarray(r, dtype=float))
+
+        def at(phi):
+            w = np.multiply.outer(rho, np.exp(1j * np.add(phi, np.angle(p))))
+            return (w + p) / (1.0 + s * np.conj(p) * w)
+        return at
+    return circle
+
+
+def _cigar_circle(p, r):
+    """Closed-form exp-map circles of dr^2 + tanh^2 r dtheta^2 about p.
+
+    With p rotated onto the positive axis, the geodesic launched at phi has
+    Clairaut constant c = J(r_p) sin phi, k cosh r = cosh x and theta' =
+    c coth^2 r, with k = sqrt(1 - c^2) and x = k (arc length from the
+    pericenter), which starts at asinh(|p| cos phi)."""
+    a, rs = abs(p), np.asarray(r, dtype=float)
+
+    def at(phi):
+        c = a * np.sin(phi) / math.sqrt(1.0 + a * a)
+        k = np.sqrt((1.0 - c) * (1.0 + c))
+        x0 = np.arcsinh(a * np.cos(phi))
+        x = x0 + np.multiply.outer(rs, k)
+        theta = (np.multiply.outer(rs, c) + np.arctan2(k * np.tanh(x), c)
+                 - np.arctan2(k * np.tanh(x0), c))
+        rho = np.sqrt(np.sinh(x) ** 2 + c * c) / k
+        return rho * np.exp(1j * theta) * (p / a)
+    return at
+
+
 def _flat_model(n: int) -> RadialKahlerModel:
     prof = RadialProfile(
         lam=lambda rho: np.ones_like(np.asarray(rho, dtype=float)),
-        rho_max=math.inf, name="flat",
-        log_d1_over_rho=lambda rho: np.zeros_like(np.asarray(rho, dtype=float)),
-    )
+        rho_max=math.inf, name="flat")
     return RadialKahlerModel(
         n=n, profile=prof, kind="flat", r_max=math.inf,
         conjugate_radius=math.inf,
@@ -126,6 +160,7 @@ def _flat_model(n: int) -> RadialKahlerModel:
         f_curvature=lambda r: 0.0 * r,
         f_hessian=lambda r: 0.5 / r,
         f_pair_distance=lambda p, q: np.abs(p - q),
+        f_circle=_moebius_circle(lambda r: r, 0.0),
     )
 
 
@@ -133,10 +168,7 @@ def _cigar_model(n: int) -> RadialKahlerModel:
     def lam(rho):
         return (1.0 + rho ** 2) ** -0.5
 
-    prof = RadialProfile(
-        lam=lam, rho_max=math.inf, name="cigar",
-        log_d1_over_rho=lambda rho: -1.0 / (1.0 + rho ** 2),
-    )
+    prof = RadialProfile(lam=lam, rho_max=math.inf, name="cigar")
     return RadialKahlerModel(
         n=n, profile=prof, kind="cigar", r_max=math.inf,
         conjugate_radius=math.inf,
@@ -144,6 +176,7 @@ def _cigar_model(n: int) -> RadialKahlerModel:
         f_rho_of_r=np.sinh,
         f_curvature=lambda r: 2.0 / np.cosh(r) ** 2,
         f_hessian=lambda r: 1.0 / np.sinh(2.0 * r),
+        f_circle=_cigar_circle,
     )
 
 
@@ -155,6 +188,7 @@ def _hyperbolic_model(n: int, kappa: float) -> RadialKahlerModel:
     def lam(rho):
         return 2.0 / (sk * (1.0 - rho ** 2))
 
+    rho_of_r = lambda r: np.tanh(sk * r / 2.0)
     def pair(p, q):
         p = np.asarray(p, dtype=complex)
         q = np.asarray(q, dtype=complex)
@@ -162,18 +196,17 @@ def _hyperbolic_model(n: int, kappa: float) -> RadialKahlerModel:
         den = (1.0 - np.abs(p) ** 2) * (1.0 - np.abs(q) ** 2)
         return np.arccosh(1.0 + num / den) / sk
 
-    prof = RadialProfile(
-        lam=lam, rho_max=1.0, name=f"hyperbolic(kappa={kappa:g})",
-        log_d1_over_rho=lambda rho: 2.0 / (1.0 - rho ** 2),
-    )
+    prof = RadialProfile(lam=lam, rho_max=1.0,
+                         name=f"hyperbolic(kappa={kappa:g})")
     return RadialKahlerModel(
         n=n, profile=prof, kind="hyperbolic", r_max=math.inf,
         conjugate_radius=math.inf, params=(kappa,),
         f_r_of_rho=lambda rho: 2.0 * np.arctanh(rho) / sk,
-        f_rho_of_r=lambda r: np.tanh(sk * r / 2.0),
+        f_rho_of_r=rho_of_r,
         f_curvature=lambda r: -kappa + 0.0 * r,
         f_hessian=lambda r: sk / (2.0 * np.tanh(sk * r)),
         f_pair_distance=pair,
+        f_circle=_moebius_circle(rho_of_r, 1.0),
     )
 
 
@@ -185,6 +218,7 @@ def _sphere_model(n: int, kappa: float) -> RadialKahlerModel:
     def lam(rho):
         return 2.0 / (sk * (1.0 + rho ** 2))
 
+    rho_of_r = lambda r: np.tan(sk * r / 2.0)
     def _lift(z):
         z = np.asarray(z, dtype=complex)
         s = np.abs(z) ** 2
@@ -197,18 +231,17 @@ def _sphere_model(n: int, kappa: float) -> RadialKahlerModel:
         cross = np.linalg.norm(np.cross(a, b, axis=0), axis=0)
         return np.arctan2(cross, dot) / sk
 
-    prof = RadialProfile(
-        lam=lam, rho_max=math.inf, name=f"sphere(kappa={kappa:g})",
-        log_d1_over_rho=lambda rho: -2.0 / (1.0 + rho ** 2),
-    )
+    prof = RadialProfile(lam=lam, rho_max=math.inf,
+                         name=f"sphere(kappa={kappa:g})")
     return RadialKahlerModel(
         n=n, profile=prof, kind="sphere", r_max=math.pi / sk,
         conjugate_radius=math.pi / sk, params=(kappa,),
         f_r_of_rho=lambda rho: 2.0 * np.arctan(rho) / sk,
-        f_rho_of_r=lambda r: np.tan(sk * r / 2.0),
+        f_rho_of_r=rho_of_r,
         f_curvature=lambda r: kappa + 0.0 * r,
         f_hessian=lambda r: sk / (2.0 * np.tan(sk * r)),
         f_pair_distance=pair,
+        f_circle=_moebius_circle(rho_of_r, -1.0),
     )
 
 
@@ -244,7 +277,6 @@ def _conformal_poly_model(n: int, coeffs: Sequence[float]) -> RadialKahlerModel:
         lam=lam, rho_max=rho_max, name=f"conformal_poly{tuple(c)}",
         d_lam=lambda rho: 2.0 * rho * dp(rho ** 2),
         d2_lam=lambda rho: 2.0 * dp(rho ** 2) + 4.0 * rho ** 2 * d2p(rho ** 2),
-        log_d1_over_rho=lambda rho: 2.0 * dp(rho ** 2) / p(rho ** 2),
     )
     r_max = r_of_rho(rho_max - 1e-12) if math.isfinite(rho_max) else math.inf
     return RadialKahlerModel(
@@ -616,23 +648,21 @@ def geodesic_circle(model: RadialKahlerModel, center, r,
     The parametrization is by launch angle of the exponential map at the
     center (phi = 0 points away from the origin).  r may also be a 1-d
     array of radii; z(phi) then has shape r.shape + phi.shape, one row per
-    circle.  Exact for flat models and for circles centered at the origin;
-    otherwise one batched integration of the Cartesian geodesic equation,
-    passing through every radius, plus periodic cubic spline
-    interpolation.
+    circle.  Circles about the origin and the model's f_circle are exact;
+    otherwise n_base launch angles are integrated through every radius at
+    once and interpolated by periodic cubic splines.
     """
     center = complex(center)
     rs = np.asarray(r, dtype=float)
     if np.any(rs <= 0):
         raise DomainError("geodesic_circle needs r > 0")
-    if model.kind == "flat":
-        return lambda phi: center + np.multiply.outer(
-            rs, np.exp(1j * np.asarray(phi)))
+    if abs(center) >= model.profile.rho_max:
+        raise DomainError("point outside the chart")
     if center == 0:
         rr = np.asarray(rho_of_r(model, rs), dtype=float)
         return lambda phi: np.multiply.outer(rr, np.exp(1j * np.asarray(phi)))
-    if math.isfinite(model.r_max):
-        base = distance_from_origin(model, abs(center))
-        if base + np.max(rs) >= model.r_max:
-            raise DomainError("geodesic circle leaves the chart")
+    if distance_from_origin(model, abs(center)) + np.max(rs) >= model.r_max:
+        raise DomainError("geodesic circle leaves the chart")
+    if model.f_circle is not None:
+        return model.f_circle(center, rs)
     return _shooting.circle_interpolator(model.profile, center, rs, n_base)

@@ -131,6 +131,11 @@ def test_validation_error_exit_two(capsys):
     code = main(["three-circle", "--model", "flat", "--f", "z",
                  "--radii", "5:1:3"])
     assert code == 2
+    # a ball centered off the hyperbolic disk
+    code = main(["three-circle", "--model", "hyperbolic", "--f", "z",
+                 "--center", "1.5", "--radii", "0.1,0.2,0.3"])
+    assert code == 2
+    assert "outside the chart" in capsys.readouterr().err
 
 
 def test_dimension_example(capsys):

@@ -9,6 +9,10 @@ quad plus brentq on the Clairaut constant, on the cigar and on a
 conformal_poly profile.  Symmetry holds by construction, since each pair
 is posed as (rho_lo, rho_hi, |dtheta|); the 1e-8 closed-form test is the
 one that measures accuracy.
+
+Off-center circles on the hyperbolic disk and the sphere are checked
+against the closed-form distance; the cigar's closed-form circles against
+the integrated circles of the same profile given bare.
 """
 import math
 import warnings
@@ -19,13 +23,16 @@ from scipy import integrate, optimize
 
 from growthlab import (
     DomainError,
+    RadialProfile,
     ShootingError,
     _shooting,
     builtin_model,
     distance_from_origin,
     geodesic_circle,
     geodesic_distance,
+    model_from_profile,
     pair_distances,
+    rho_of_r,
 )
 
 
@@ -384,6 +391,59 @@ def test_cigar_circle_distance():
     assert np.max(np.abs(d - r)) <= 1e-8
 
 
+def _bare_cigar():
+    lam = builtin_model("cigar").profile.lam
+    return model_from_profile(RadialProfile(lam=lam, rho_max=math.inf,
+                                            name="bare cigar"))
+
+
+@pytest.mark.parametrize("tag", ["hyperbolic", "sphere"])
+@pytest.mark.parametrize("kappa", [1.0, 2.5])
+def test_moebius_circle_exact(tag, kappa):
+    m = builtin_model(tag, kappa=kappa)
+    rs = np.array([0.05, 0.4, 0.9])
+    phis = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    for c in (0.35 + 0.2j, -0.5 + 0.3j):
+        pts = geodesic_circle(m, c, rs)(phis)
+        d = pair_distances(m, np.full(pts.shape, c), pts, method="closed")
+        assert np.max(np.abs(d - rs[:, None])) <= 1e-13
+
+
+def test_cigar_circle_matches_integrated():
+    # radii past the cut locus (3.05, 4.9), where exp-map points are
+    # nearer than r: positions are compared, not distances
+    cigar, bare = builtin_model("cigar"), _bare_cigar()
+    rs = np.array([0.05, 0.8, 3.05, 4.9])
+    phis = np.linspace(0, 2 * np.pi, 37)
+    for c in (0.9 + 0.3j, -0.4 + 1.1j):
+        z = geodesic_circle(cigar, c, rs)(phis)
+        ref = geodesic_circle(bare, c, rs)(phis)
+        assert np.max(np.abs(z - ref) / np.abs(ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("tag", ["flat", "hyperbolic", "sphere", "cigar"])
+def test_circle_launch_convention(tag):
+    # phi = 0 launches away from the origin, phi = pi toward it
+    m = builtin_model(tag)
+    c = 0.3 - 0.4j
+    r0, u = distance_from_origin(m, abs(c)), c / abs(c)
+    for r in (0.3, 1.2):
+        z0, zpi = geodesic_circle(m, c, r)(np.array([0.0, math.pi]))
+        assert abs(z0 - rho_of_r(m, r0 + r) * u) <= 1e-13 * abs(z0)
+        back = math.copysign(rho_of_r(m, abs(r0 - r)), r0 - r) * u
+        assert abs(zpi - back) <= 1e-13 * abs(back)
+
+
+@pytest.mark.parametrize("route", ["closed", "origin", "integrated"])
+def test_circle_shapes(route):
+    m = _bare_cigar() if route == "integrated" else builtin_model("cigar")
+    c = 0j if route == "origin" else 0.6 + 0.2j
+    for r in (0.7, np.array([0.3, 0.7, 1.1])):
+        circle = geodesic_circle(m, c, r)
+        for phi in (0.4, np.linspace(0, 6, 5)):
+            assert np.shape(circle(phi)) == np.shape(r) + np.shape(phi)
+
+
 def test_circle_validation():
     m = builtin_model("sphere")
     with pytest.raises(DomainError):
@@ -392,3 +452,7 @@ def test_circle_validation():
     c = complex(math.tan(0.5))
     with pytest.raises(DomainError):
         geodesic_circle(m, c, math.pi)
+    # centers on or off the edge of the hyperbolic disk
+    for c in (1.5, 1j):
+        with pytest.raises(DomainError, match="outside the chart"):
+            geodesic_circle(builtin_model("hyperbolic"), c, 0.3)

@@ -7,11 +7,13 @@ from scipy import optimize
 from scipy.interpolate import CubicSpline
 
 from growthlab import (
+    RadialProfile,
     _shooting,
     builtin_model,
     closed_form_convexifier,
     curvature_at_origin,
     geodesic_circle,
+    model_from_profile,
 )
 from growthlab.errors import DomainError
 from growthlab.growth import (
@@ -32,6 +34,10 @@ FLAT = builtin_model("flat")
 FLAT2 = builtin_model("flat", n=2)
 FLAT3 = builtin_model("flat", n=3)
 CIGAR = builtin_model("cigar")
+# the cigar as a bare profile: no closed forms, so its exp-map circles are
+# integrated
+BARE_CIGAR = model_from_profile(RadialProfile(
+    lam=CIGAR.profile.lam, rho_max=math.inf, name="bare cigar"))
 HYPER = builtin_model("hyperbolic")
 SPHERE = builtin_model("sphere")
 
@@ -132,6 +138,8 @@ def test_max_modulus_validation():
         max_modulus(FLAT2, f, 0, 1.0)
     with pytest.raises(DomainError):
         max_modulus(FLAT2, HoloPoly(2, {(1, 1): 1.0}), 0.5, 1.0)
+    with pytest.raises(DomainError, match="outside the chart"):
+        growth_curve(HYPER, f, center=1.5, radii=[0.1, 0.2, 0.3])
 
 
 def test_max_modulus_c3_global_maximum():
@@ -325,8 +333,9 @@ def _per_radius_max(model, f, center, r):
 
 
 def test_off_center_curve_integrates_once(monkeypatch):
-    # a curve's exp-map circles come from one integration through all of
-    # its radii: it costs about one circle at the largest radius
+    # a curve's integrated exp-map circles come from one integration
+    # through all of its radii: it costs about one circle at the largest
+    # radius
     calls = []
     make_rhs = _shooting._cartesian_rhs
 
@@ -341,13 +350,16 @@ def test_off_center_curve_integrates_once(monkeypatch):
     monkeypatch.setattr(_shooting, "_cartesian_rhs", counted)
     f = HoloPoly(1, {0: 0.3, 1: 1.0 - 0.5j, 3: 0.4j})
     center, radii = 0.6 + 0.5j, [0.4, 0.9, 1.5, 2.2]
-    curve = growth_curve(CIGAR, f, center, radii)
+    curve = growth_curve(BARE_CIGAR, f, center, radii)
     n_curve = len(calls)
     calls.clear()
-    geodesic_circle(CIGAR, center, radii[-1])
-    assert n_curve <= 1.25 * len(calls)
-    ref = [_per_radius_max(CIGAR, f, center, r) for r in radii]
+    geodesic_circle(BARE_CIGAR, center, radii[-1])
+    assert 0 < n_curve <= 1.25 * len(calls)
+    ref = [_per_radius_max(BARE_CIGAR, f, center, r) for r in radii]
     assert np.allclose(curve.values, ref, rtol=1e-9, atol=0.0)
+    # the generic route agrees with the cigar's closed-form circles
+    closed = growth_curve(CIGAR, f, center, radii)
+    assert np.allclose(curve.values, closed.values, rtol=1e-8, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
