@@ -275,6 +275,9 @@ def connect_lengths(profile, rho_p, rho_q, dtheta, r_p, r_q,
 # ---------------------------------------------------------------------------
 # exponential-map circles (Cartesian chart)
 
+_N_BASE = 1024    # launch angles per interpolated circle
+
+
 def _cartesian_rhs(profile):
     logd = profile.log_d1_over_rho
 
@@ -307,31 +310,30 @@ def exp_circle_points(profile, rho0: float, lengths, phis: np.ndarray,
     return ys[:, 0]
 
 
-def circle_interpolator(profile, center: complex, r,
-                        n_base: int = 1024) -> Callable:
+def circle_interpolator(profile, center: complex, r) -> Callable:
     """phi -> z(phi) on the geodesic circles of radius r about center.
 
     r is a radius or a 1-d array of them; z(phi) has shape
     r.shape + phi.shape.  The chart is rotated to put the center on the
     positive axis, where lam depending on |z| only makes each circle
     symmetric under conjugation, z(-phi) = conj z(phi).  So only the
-    n_base // 2 + 1 launch angles in [0, pi] are integrated, once, through
-    every radius in increasing order; the rest are mirrored.  Periodic
-    cubic splines in phi interpolate the n_base points of each circle.
-    phi = 0 launches away from the origin.
+    _N_BASE // 2 + 1 launch angles in [0, pi] are integrated, once,
+    through every radius in increasing order; the rest are mirrored.
+    Periodic cubic splines in phi interpolate the _N_BASE points of each
+    circle.  phi = 0 launches away from the origin.
     """
     from scipy.interpolate import CubicSpline
 
     a = abs(center)
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     order = np.argsort(radii)
-    half = n_base // 2
-    phis = np.linspace(0.0, 2.0 * math.pi, n_base, endpoint=False)
-    pts = np.empty((radii.size, n_base + 1), dtype=complex)
+    half = _N_BASE // 2
+    phis = np.linspace(0.0, 2.0 * math.pi, _N_BASE, endpoint=False)
+    pts = np.empty((radii.size, _N_BASE + 1), dtype=complex)
     pts[order, :half + 1] = exp_circle_points(profile, a, radii[order],
                                               phis[:half + 1])
-    pts[:, half + 1:n_base] = np.conj(pts[:, n_base - half - 1:0:-1])
-    pts[:, n_base] = pts[:, 0]
+    pts[:, half + 1:_N_BASE] = np.conj(pts[:, _N_BASE - half - 1:0:-1])
+    pts[:, _N_BASE] = pts[:, 0]
     spline = CubicSpline(np.append(phis, 2.0 * math.pi), pts * (center / a),
                          axis=1, bc_type="periodic")
     shape = np.shape(r)

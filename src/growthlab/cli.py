@@ -339,9 +339,7 @@ def _bound_from_args(args):
         return curvature_bound("constant", c=args.c)
     if tag == "power_decay":
         return curvature_bound("power_decay", A=args.A, eps=args.eps)
-    if tag == "cigar":
-        return curvature_bound("cigar")
-    raise DomainError(f"unknown curvature floor {tag!r}")
+    return curvature_bound("cigar")
 
 
 def _cmd_ode(args):
@@ -468,9 +466,7 @@ def _cmd_dimension(args):
         bound = b.bound
         witness = {"bound": b.bound, "d_eff": b.d_eff, **dict(b.params)}
         name = "dimension exp-growth"
-    elif regime == "from-h":
-        if args.h_tag not in ("logr", "cigar", "power-decay"):
-            raise DomainError(f"unknown h tag {args.h_tag!r}")
+    else:  # from-h
         params = ({"A": args.A, "eps": args.eps}
                   if args.h_tag == "power-decay" else {})
         h = closed_form_convexifier(_CLOSED_H[args.h_tag], **params)
@@ -479,8 +475,6 @@ def _cmd_dimension(args):
         witness = {"bound": b.bound, "regime": b.regime, "d_eff": b.d_eff,
                    **dict(b.params)}
         name = f"dimension from-h [{b.regime}]"
-    else:
-        raise DomainError(f"unknown regime {regime!r}")
     print(f"bound {bound}" + (f", regime {witness['regime']}"
                               if "regime" in witness else ""))
     return [_check(name, True, None, witness)], None
@@ -549,21 +543,17 @@ def _suite_necessity() -> list:
 def _suite_ode_catalog() -> list:
     tol_res, tol_match = 1e-8, 1e-7
     entries = [
-        ("nonneg", "nonneg", "nonneg", {}, ("constant", {"c": 0.0})),
-        ("minus_one", "lower_bound_minus_one", "lower_bound_minus_one", {},
-         ("constant", {"c": -1.0})),
-        ("plus_one", "lower_bound_plus_one", "lower_bound_plus_one", {},
-         ("constant", {"c": 1.0})),
-        ("cigar", "cigar", "cigar", {}, ("cigar", {})),
-        ("power_decay(0.05,0.49)", "power_decay", "power_decay",
-         {"A": 0.05, "eps": 0.49}, None),
-        ("power_decay(1,0.4)", "power_decay", "power_decay",
-         {"A": 1.0, "eps": 0.4}, None),
+        ("nonneg", "nonneg", {}),
+        ("minus_one", "lower_bound_minus_one", {}),
+        ("plus_one", "lower_bound_plus_one", {}),
+        ("cigar", "cigar", {}),
+        ("power_decay(0.05,0.49)", "power_decay", {"A": 0.05, "eps": 0.49}),
+        ("power_decay(1,0.4)", "power_decay", {"A": 1.0, "eps": 0.4}),
     ]
     checks = []
-    for name, u_tag, h_tag, params, g_spec in entries:
-        u = closed_form_supersolution(u_tag, **params)
-        h = closed_form_convexifier(h_tag, **params)
+    for name, tag, params in entries:
+        u = closed_form_supersolution(tag, **params)
+        h = closed_form_convexifier(tag, **params)
         hi = 0.98 * min(u.r_max, h.domain[1], 30.0)
         grid = np.geomspace(1e-3, hi, 200)
         uu = np.asarray(u(grid), dtype=float)
@@ -580,8 +570,9 @@ def _suite_ode_catalog() -> list:
                      - np.asarray(h(grid), dtype=float))
             return float(np.max(np.abs(delta - np.median(delta))))
 
-        if g_spec is not None:
-            g = curvature_bound(g_spec[0], **g_spec[1])
+        # the unit rows solve the Riccati equation of their bound exactly
+        if tag != "power_decay":
+            g = u.bound
             rrep = verify_supersolution(u, g, grid, tol=tol_res)
             solved = solve_riccati_equality(g, r_end=1.05 * hi)
             du = float(np.max(np.abs(
@@ -751,7 +742,9 @@ def build_parser():
     p = subs.add_parser("three-circle", parents=[mod, csv_out, expect],
                         help="log M_f convexity in h")
     p.add_argument("--f", help="monomial-sum expression")
-    p.add_argument("--center", help="basepoint, n = 1 only")
+    p.add_argument("--center",
+                   help="basepoint, n = 1 only; write a negative one as "
+                        "--center=-0.5+0.2i")
     p.add_argument("--radii")
     p.add_argument("--spacing", choices=["log", "linear"], default="log")
     p.add_argument("--h", default="auto", help="auto | logr")
@@ -796,7 +789,8 @@ def build_parser():
     p.add_argument("--C", type=float, default=0.18)
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--h-tag", dest="h_tag", default="logr",
-                   help="logr | cigar | power-decay (uses --A/--eps)")
+                   choices=["logr", "cigar", "power-decay"],
+                   help="power-decay uses --A/--eps")
 
     p = subs.add_parser("suite", parents=[out],
                         help="pinned check bundles")
@@ -830,9 +824,16 @@ def main(argv=None) -> int:
             if not isinstance(cfg, dict):
                 raise DomainError("config file must hold a JSON object")
             chosen = subs.choices[args.command]
-            unknown = sorted(set(cfg) - {a.dest for a in chosen._actions})
+            actions = {a.dest: a for a in chosen._actions}
+            unknown = sorted(set(cfg) - set(actions))
             if unknown:
                 raise DomainError(f"unknown config keys {unknown}")
+            # set_defaults skips the choices check that a parsed flag gets
+            for key, value in cfg.items():
+                choices = actions[key].choices
+                if choices is not None and value not in choices:
+                    raise DomainError(f"config key {key!r}: {value!r} is "
+                                      f"not one of {list(choices)}")
             chosen.set_defaults(**cfg)
             args = parser.parse_args(argv)
         t0 = time.perf_counter()

@@ -9,7 +9,8 @@ where g is a lower bound for the radial holomorphic sectional curvature.
 Equality solutions u are the model complex Hessians; h is the increasing
 reparametrization in which log-max-modulus becomes convex.
 
-Closed-form catalog (tag -> (u, h)):
+Closed-form catalog (tag -> (u, h)), held as data in _CATALOG together
+with each u's bound g, derivatives and domain:
 
     nonneg                u = 1/(2r)              h = log r
     lower_bound_minus_one u = coth(r)/2           h = log(2 tanh(r/2))
@@ -18,9 +19,7 @@ Closed-form catalog (tag -> (u, h)):
     power_decay(A, eps)   u = 1/(2r) + A/(1+r)^(1+eps)
                           h' = exp(2A/(eps (1+r)^eps) - 2A/eps) / r
 
-The two trigonometric forms are stored with their normalizing factor 2
-(so that e^h/r -> 1); the offset log 2 against the bare log-tanh and
-log-tan shapes is reported in Convexifier.stated_offset.
+The power_decay row is built from (A, eps) by _power_decay_row.
 
 solve_riccati_equality integrates the Riccati equation with DOP853 and
 solve_convexifier builds h without an ODE stepper: two cumulative
@@ -50,6 +49,10 @@ _R_SERIES = 1e-6    # below this the Riccati solution uses its series start
 # budget per solve: right-hand side evaluations of the Riccati solve,
 # points of u (summed over the panel rounds) of the h quadrature
 _MAX_RHS = 50_000
+# Riccati tolerances, tighter than the 1e-8 residual target because the
+# residual is measured by differentiating the dense output, whose
+# derivative error tracks rtol closely
+_RICCATI_RTOL, _RICCATI_ATOL = 3e-12, 1e-14
 
 __all__ = [
     "CurvatureLowerBound",
@@ -227,54 +230,6 @@ def _residual_fn(u, u_prime, g):
     return residual
 
 
-def closed_form_supersolution(tag: str, **params) -> Supersolution:
-    """Catalog u with analytic derivative; see the module docstring."""
-    if tag == "nonneg":
-        _no_extras(params)
-        return make_supersolution(
-            lambda r: 0.5 / np.asarray(r, dtype=float),
-            u_prime=lambda r: -0.5 / np.asarray(r, dtype=float) ** 2,
-            g=curvature_bound("constant", c=0.0), tag=tag)
-    if tag == "lower_bound_minus_one":
-        _no_extras(params)
-        return make_supersolution(
-            lambda r: 0.5 / np.tanh(np.asarray(r, dtype=float)),
-            u_prime=lambda r: -0.5 / np.sinh(np.asarray(r, dtype=float)) ** 2,
-            g=curvature_bound("constant", c=-1.0), tag=tag)
-    if tag == "lower_bound_plus_one":
-        _no_extras(params)
-        return make_supersolution(
-            lambda r: 0.5 / np.tan(np.asarray(r, dtype=float)),
-            u_prime=lambda r: -0.5 / np.sin(np.asarray(r, dtype=float)) ** 2,
-            g=curvature_bound("constant", c=1.0),
-            r_max=math.pi, tag=tag)
-    if tag == "cigar":
-        _no_extras(params)
-        return make_supersolution(
-            lambda r: 1.0 / np.sinh(2.0 * np.asarray(r, dtype=float)),
-            u_prime=lambda r: (-2.0 * np.cosh(2.0 * np.asarray(r, dtype=float))
-                               / np.sinh(2.0 * np.asarray(r, dtype=float)) ** 2),
-            g=curvature_bound("cigar"), tag=tag)
-    if tag == "power_decay":
-        A, eps = _power_decay_params(params)
-
-        def u(r):
-            r_arr = np.asarray(r, dtype=float)
-            return 0.5 / r_arr + A / (1.0 + r_arr) ** (1 + eps)
-
-        def du(r):
-            r_arr = np.asarray(r, dtype=float)
-            return (-0.5 / r_arr ** 2
-                    - A * (1 + eps) / (1.0 + r_arr) ** (2 + eps))
-
-        # 2 u(r) r - 1 = 2 A r/(1+r)^(1+eps): the limit normalization holds
-        # even though the finite probe at 1e-4 scales like 2 A r0
-        return make_supersolution(
-            u, u_prime=du, g=curvature_bound("power_decay", A=A, eps=eps),
-            origin_normalized=True, tag=tag, params=(("A", A), ("eps", eps)))
-    raise DomainError(f"unknown supersolution tag {tag!r}")
-
-
 def _budgeted(rhs: Callable, what: str) -> Callable:
     """rhs counting its calls; past _MAX_RHS it raises BudgetError."""
     calls = itertools.count(1)
@@ -287,9 +242,8 @@ def _budgeted(rhs: Callable, what: str) -> Callable:
     return counted
 
 
-def solve_riccati_equality(g: CurvatureLowerBound, r_end: float = 50.0,
-                           rtol: float = 3e-12,
-                           atol: float = 1e-14) -> Supersolution:
+def solve_riccati_equality(g: CurvatureLowerBound,
+                           r_end: float = 50.0) -> Supersolution:
     """Integrate u' + 2u^2 + g/2 = 0 with the singular normalization.
 
     Substituting w = 2 u r gives the regular system
@@ -299,10 +253,6 @@ def solve_riccati_equality(g: CurvatureLowerBound, r_end: float = 50.0,
     estimated blow-down radius is recorded and evaluation past it
     raises BlowDownError.  A solve that needs more than _MAX_RHS
     evaluations of g raises BudgetError.
-
-    The default tolerances are tighter than the 1e-8 residual target
-    because the residual is measured by differentiating the dense
-    output, whose derivative error tracks rtol closely.
     """
     if isinstance(g, CurvatureLowerBound) and g.tag == "inverse_square":
         raise DomainError(
@@ -327,8 +277,8 @@ def solve_riccati_equality(g: CurvatureLowerBound, r_end: float = 50.0,
 
     sol = integrate.solve_ivp(
         _budgeted(rhs, "Riccati solve"), (_R_SERIES, r_end), [w_start],
-        method="DOP853", rtol=rtol, atol=atol, dense_output=True,
-        events=[blow])
+        method="DOP853", rtol=_RICCATI_RTOL, atol=_RICCATI_ATOL,
+        dense_output=True, events=[blow])
     if not sol.success and sol.status != 1:
         raise DomainError(f"Riccati solve failed: {sol.message}")
     blow_down = None
@@ -562,87 +512,116 @@ def _check_domain(r_arr, hi):
         raise DomainError(f"h was solved on (0, {hi:g}]")
 
 
-def closed_form_convexifier(tag: str, **params) -> Convexifier:
-    """Catalog h with analytic derivatives; see the module docstring."""
-    if tag == "nonneg":
-        _no_extras(params)
-        return Convexifier(
-            h=lambda r: np.log(np.asarray(r, dtype=float)),
-            h_prime=lambda r: 1.0 / np.asarray(r, dtype=float),
-            h_second=lambda r: -1.0 / np.asarray(r, dtype=float) ** 2,
-            normalization_residual=0.0, tag=tag)
-    if tag == "lower_bound_minus_one":
-        _no_extras(params)
-        return Convexifier(
-            h=lambda r: np.log(2.0 * np.tanh(0.5 * np.asarray(r, dtype=float))),
-            h_prime=lambda r: 1.0 / np.sinh(np.asarray(r, dtype=float)),
-            h_second=lambda r: (-np.cosh(np.asarray(r, dtype=float))
-                                / np.sinh(np.asarray(r, dtype=float)) ** 2),
-            normalization_residual=_nres_of(
-                lambda r: math.log(2.0 * math.tanh(0.5 * r))),
-            stated_offset=math.log(2.0), tag=tag)
-    if tag == "lower_bound_plus_one":
-        _no_extras(params)
-        return Convexifier(
-            h=lambda r: np.log(2.0 * np.tan(0.5 * np.asarray(r, dtype=float))),
-            h_prime=lambda r: 1.0 / np.sin(np.asarray(r, dtype=float)),
-            h_second=lambda r: (-np.cos(np.asarray(r, dtype=float))
-                                / np.sin(np.asarray(r, dtype=float)) ** 2),
-            normalization_residual=_nres_of(
-                lambda r: math.log(2.0 * math.tan(0.5 * r))),
-            stated_offset=math.log(2.0), domain=(0.0, math.pi), tag=tag)
-    if tag == "cigar":
-        _no_extras(params)
-        return Convexifier(
-            h=_log_sinh,
-            h_prime=lambda r: 1.0 / np.tanh(np.asarray(r, dtype=float)),
-            h_second=lambda r: -1.0 / np.sinh(np.asarray(r, dtype=float)) ** 2,
-            normalization_residual=_nres_of(lambda r: float(_log_sinh(r))),
-            tag=tag)
+# ---------------------------------------------------------------------------
+# closed-form catalog
+
+# One row per tag, two fields a line: u, u'; the curvature_bound
+# arguments of the g that u solves u' + 2u^2 + g/2 = 0 for, r_max (the end
+# of u's domain); h, h'; h'', stated_offset.  The functions take float
+# arrays; _catalog_row converts the argument.  The trigonometric h carry their normalizing
+# factor 2 (so that e^h/r -> 1), and stated_offset is the log 2 against
+# the bare log-tanh and log-tan shapes.
+_CATALOG = {
+    "nonneg": (
+        lambda r: 0.5 / r, lambda r: -0.5 / r ** 2,
+        ("constant", {"c": 0.0}), math.inf,
+        np.log, lambda r: 1.0 / r,
+        lambda r: -1.0 / r ** 2, 0.0),
+    "lower_bound_minus_one": (
+        lambda r: 0.5 / np.tanh(r), lambda r: -0.5 / np.sinh(r) ** 2,
+        ("constant", {"c": -1.0}), math.inf,
+        lambda r: np.log(2.0 * np.tanh(0.5 * r)), lambda r: 1.0 / np.sinh(r),
+        lambda r: -np.cosh(r) / np.sinh(r) ** 2, math.log(2.0)),
+    "lower_bound_plus_one": (
+        lambda r: 0.5 / np.tan(r), lambda r: -0.5 / np.sin(r) ** 2,
+        ("constant", {"c": 1.0}), math.pi,
+        lambda r: np.log(2.0 * np.tan(0.5 * r)), lambda r: 1.0 / np.sin(r),
+        lambda r: -np.cos(r) / np.sin(r) ** 2, math.log(2.0)),
+    "cigar": (
+        lambda r: 1.0 / np.sinh(2.0 * r),
+        lambda r: -2.0 * np.cosh(2.0 * r) / np.sinh(2.0 * r) ** 2,
+        ("cigar", {}), math.inf,
+        # sinh overflows past r ~ 710; log sinh r = r + log1p(-e^{-2r}) - log 2
+        lambda r: r + np.log1p(-np.exp(-2.0 * r)) - math.log(2.0),
+        lambda r: 1.0 / np.tanh(r), lambda r: -1.0 / np.sinh(r) ** 2, 0.0),
+}
+# power_decay's h is a quadrature, tabulated on (0, _H_TABLE_END]
+_H_TABLE_END = 1e6
+
+
+def _catalog_row(tag: str, params: dict) -> tuple:
+    """(row, params) of a catalog tag; the row's functions take array-likes."""
     if tag == "power_decay":
         A, eps = _power_decay_params(params)
-        return _power_decay_convexifier(A, eps)
-    raise DomainError(f"unknown convexifier tag {tag!r}")
+        row, params = _power_decay_row(A, eps), (("A", A), ("eps", eps))
+    elif tag in _CATALOG:
+        _no_extras(params)
+        row, params = _CATALOG[tag], ()
+    else:
+        raise DomainError(f"unknown catalog tag {tag!r}")
+    return [_on_arrays(f) if callable(f) else f for f in row], params
+
+
+def _on_arrays(f: Callable) -> Callable:
+    return lambda r: f(np.asarray(r, dtype=float))
+
+
+def _power_decay_row(A: float, eps: float) -> tuple:
+    """The catalog row of power_decay(A, eps).
+
+    u = 1/(2r) + A/(1+r)^(1+eps), so 2 u(r) r - 1 = 2 A r/(1+r)^(1+eps).
+    h' = exp(phi)/r with phi = 2A/(eps (1+r)^eps) - 2A/eps, and the
+    residual (1/2) h'' + h' u vanishes identically.  h = log r + Q with
+    Q' = (e^phi - 1)/r: V = -phi/2 is exact, and the panels are those on
+    which u's dV/dt = r u - 1/2 resolves.
+    """
+    def phi(r):
+        return 2.0 * A / (eps * (1.0 + r) ** eps) - 2.0 * A / eps
+
+    a, b, r_nodes, _ = _log_r_panels(
+        lambda r: A * r / (1.0 + r) ** (1 + eps), _H_TABLE_END)
+
+    def h_prime(r):
+        _check_domain(r, _H_TABLE_END)
+        return np.exp(phi(r)) / r
+
+    return (
+        lambda r: 0.5 / r + A / (1.0 + r) ** (1 + eps),
+        lambda r: -0.5 / r ** 2 - A * (1 + eps) / (1.0 + r) ** (2 + eps),
+        ("power_decay", {"A": A, "eps": eps}), math.inf,
+        _log_r_h(a, b, -0.5 * phi(r_nodes), _H_TABLE_END), h_prime,
+        lambda r: h_prime(r) * (-2.0 * A / (1.0 + r) ** (1 + eps) - 1.0 / r),
+        0.0)
+
+
+def closed_form_supersolution(tag: str, **params) -> Supersolution:
+    """Catalog u with analytic derivative; see _CATALOG.
+
+    Every catalog u has 2 u(r) r -> 1 in the limit, so it is marked
+    origin-normalized; for power_decay the finite probe at 1e-4 still
+    deviates by 2 A r0.
+    """
+    (u, u_prime, (g_tag, g_params), r_max, *_), params = _catalog_row(
+        tag, params)
+    return make_supersolution(u, u_prime=u_prime,
+                              g=curvature_bound(g_tag, **g_params),
+                              r_max=r_max, origin_normalized=True, tag=tag,
+                              params=params)
+
+
+def closed_form_convexifier(tag: str, **params) -> Convexifier:
+    """Catalog h with analytic derivatives; see _CATALOG."""
+    (*_, r_max, h, h_prime, h_second, offset), params = _catalog_row(
+        tag, params)
+    return Convexifier(h=h, h_prime=h_prime, h_second=h_second,
+                       normalization_residual=_nres_of(lambda r: float(h(r))),
+                       stated_offset=offset,
+                       domain=(0.0, _H_TABLE_END if params else r_max),
+                       tag=tag, params=params)
 
 
 def _nres_of(h_scalar) -> float:
     return abs(math.exp(h_scalar(_R0_CHECK)) / _R0_CHECK - 1.0)
-
-
-def _log_sinh(r):
-    # sinh overflows past r ~ 710; log sinh r = r + log1p(-e^{-2r}) - log 2
-    r_arr = np.asarray(r, dtype=float)
-    return r_arr + np.log1p(-np.exp(-2.0 * r_arr)) - math.log(2.0)
-
-
-def _power_decay_convexifier(A: float, eps: float,
-                             r_table_end: float = 1e6) -> Convexifier:
-    # h' = exp(phi)/r with phi = 2A/(eps (1+r)^eps) - 2A/eps; the residual
-    # (1/2) h'' + h' u vanishes identically for the matching catalog u.
-    # h = log r + Q, Q' = (e^phi - 1)/r: V = -phi/2 is exact, and the
-    # panels are those on which the catalog u's dV/dt = r u - 1/2 resolves
-    def phi(r_arr):
-        return 2.0 * A / (eps * (1.0 + r_arr) ** eps) - 2.0 * A / eps
-
-    a, b, r_nodes, _ = _log_r_panels(
-        lambda r: A * r / (1.0 + r) ** (1 + eps), r_table_end)
-    h = _log_r_h(a, b, -0.5 * phi(r_nodes), r_table_end)
-
-    def h_prime(r):
-        r_arr = np.asarray(r, dtype=float)
-        _check_domain(r_arr, r_table_end)
-        return np.exp(phi(r_arr)) / r_arr
-
-    def h_second(r):
-        r_arr = np.asarray(r, dtype=float)
-        hp = np.asarray(h_prime(r_arr), dtype=float)
-        dphi = -2.0 * A / (1.0 + r_arr) ** (1 + eps)
-        return hp * (dphi - 1.0 / r_arr)
-
-    return Convexifier(h=h, h_prime=h_prime, h_second=h_second,
-                       normalization_residual=_nres_of(lambda r: float(h(r))),
-                       domain=(0.0, r_table_end), tag="power_decay",
-                       params=(("A", A), ("eps", eps)))
 
 
 # ---------------------------------------------------------------------------

@@ -641,15 +641,14 @@ def geodesic_distance(model: RadialKahlerModel, p, q,
     return float(pair_distances(model, [complex(p)], [complex(q)], method)[0])
 
 
-def geodesic_circle(model: RadialKahlerModel, center, r,
-                    n_base: int = 1024) -> Callable:
+def geodesic_circle(model: RadialKahlerModel, center, r) -> Callable:
     """Return phi -> z(phi), the geodesic circle of radius r about center.
 
     The parametrization is by launch angle of the exponential map at the
     center (phi = 0 points away from the origin).  r may also be a 1-d
     array of radii; z(phi) then has shape r.shape + phi.shape, one row per
     circle.  Circles about the origin and the model's f_circle are exact;
-    otherwise n_base launch angles are integrated through every radius at
+    otherwise 1024 launch angles are integrated through every radius at
     once and interpolated by periodic cubic splines.
     """
     center = complex(center)
@@ -665,4 +664,4 @@ def geodesic_circle(model: RadialKahlerModel, center, r,
         raise DomainError("geodesic circle leaves the chart")
     if model.f_circle is not None:
         return model.f_circle(center, rs)
-    return _shooting.circle_interpolator(model.profile, center, rs, n_base)
+    return _shooting.circle_interpolator(model.profile, center, rs)

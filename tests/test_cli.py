@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from growthlab import (comparison_ode, distance_from_origin,
+from growthlab import (builtin_model, comparison_ode, distance_from_origin,
                        load_profile_table, model_from_profile, model_hessian)
 from growthlab.cli import (main, parse_complex, parse_function, parse_radii,
                            resolve_h)
@@ -97,6 +97,11 @@ def test_flat_three_circle_exit_zero(capsys):
                  "--f", "z^3", "--radii", "0.1:10:50", "--h", "auto"])
     assert code == 0
     assert "pass" in capsys.readouterr().out
+    # a negative center is attached to its flag, or argparse reads it as
+    # an option
+    code = main(["three-circle", "--model", "flat", "--f", "z^3+2z",
+                 "--center=-0.5+0.2i", "--radii", "0.3:1.4:9"])
+    assert code == 0
 
 
 def test_hyperbolic_violation_exit_one(capsys):
@@ -200,6 +205,33 @@ def test_three_circle_table_model_auto_h(tmp_path):
     assert code == 0
     (check,) = json.loads(path.read_text())["checks"]
     assert check["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("kind,kw,tag", [
+    ("flat", {}, "nonneg"),
+    ("cigar", {}, "cigar"),
+    ("hyperbolic", {}, "lower_bound_minus_one"),
+    ("sphere", {}, "lower_bound_plus_one"),
+    ("hyperbolic", {"kappa": 2.0}, "solved[custom]"),
+    ("sphere", {"kappa": 0.5}, "solved[custom]"),
+    ("conformal_poly", {"coeffs": [1.0, 1.0]}, "solved[custom]"),
+])
+def test_auto_h_choice(kind, kw, tag):
+    # the catalog h at unit scale only; otherwise h is solved from the
+    # model's own Hessian
+    h = resolve_h("auto", builtin_model(kind, **kw), np.array([1.5]))
+    assert h.tag == tag
+
+
+@pytest.mark.parametrize("kind,kappa,h_prime", [
+    ("hyperbolic", 2.0, lambda k, r: k / np.sinh(k * r)),
+    ("sphere", 0.5, lambda k, r: k / np.sin(k * r)),
+])
+def test_auto_h_solved_at_other_scales(kind, kappa, h_prime):
+    h = resolve_h("auto", builtin_model(kind, kappa=kappa), np.array([1.5]))
+    grid = np.geomspace(1e-3, 1.8, 60)
+    want = h_prime(math.sqrt(kappa), grid)
+    assert np.max(np.abs(np.asarray(h.h_prime(grid)) / want - 1.0)) <= 1e-12
 
 
 def test_table_model_auto_h_prime_matches_quadrature():
@@ -366,6 +398,10 @@ def test_config_errors_exit_two(tmp_path, capsys):
     cfg.write_text(json.dumps({"seed": 7}))
     assert main(["dimension", "--regime", "poly", "--config", str(cfg)]) == 2
     assert "seed" in capsys.readouterr().err
+    # set_defaults alone would take a value outside the flag's choices
+    cfg.write_text(json.dumps({"spacing": "bogus", "radii": "0.1:1:4"}))
+    assert main(["curvature", "--config", str(cfg)]) == 2
+    assert "spacing" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

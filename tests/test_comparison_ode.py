@@ -97,6 +97,24 @@ def test_convexifier_normalization(tag):
     assert abs(math.exp(h(r0)) / r0 - 1.0) <= 1e-5
 
 
+@pytest.mark.parametrize("tag,kw", [(t, {}) for t, _ in EQUALITY_CATALOG]
+                         + [("power_decay", dict(A=1.0, eps=0.4)),
+                            ("power_decay", dict(A=0.05, eps=0.49))])
+def test_catalog_derivatives_match_functions(tag, kw):
+    # u' against u, h' against h and h'' against h' by central differences
+    u = closed_form_supersolution(tag, **kw)
+    h = closed_form_convexifier(tag, **kw)
+    rs = np.geomspace(1e-2, min(20.0, 0.97 * u.r_max), 80)
+    step = 1e-5 * rs
+    for f, df in ((u.u, u.u_prime), (h.h, h.h_prime),
+                  (h.h_prime, h.h_second)):
+        central = (np.asarray(f(rs + step)) - np.asarray(f(rs - step))) \
+            / (2.0 * step)
+        want = np.asarray(df(rs))
+        scale = np.abs(want) + np.abs(np.asarray(f(rs))) / rs
+        assert np.max(np.abs(central - want) / scale) <= 1e-6
+
+
 def test_minus_one_h_prime_frozen_value():
     h = closed_form_convexifier("lower_bound_minus_one")
     assert h.h_prime(2.0) == pytest.approx(1.0 / math.sinh(2.0), abs=1e-14)
