@@ -1,7 +1,7 @@
 """Richardson-extrapolated central differences.
 
 Used wherever a profile or solution is available only as a callable
-(user tables, dense ODE output).  Steps follow h = max(floor, scale*|x|)
+(user tables, a user's u without its derivative).  Steps follow h = max(floor, scale*|x|)
 so that second derivatives of tabulated data stay stable near zero and
 far out alike.
 """

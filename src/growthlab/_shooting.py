@@ -51,23 +51,27 @@ _B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 _BE = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 
-def integrate_batch(rhs: Callable, y0: np.ndarray, stops,
-                    rtol: float = 1e-10, atol: float = 1e-12,
-                    h0: float | None = None, max_sweeps: int = 20000):
+# integrate_batch's tolerances, first step (a fraction of the first
+# stop) and sweep cap
+_RTOL, _ATOL, _H0, _MAX_SWEEPS = 1e-11, 1e-13, 1e-3, 20000
+
+
+def integrate_batch(rhs: Callable, y0: np.ndarray, stops):
     """March y' = rhs(y) from t = 0 through the increasing times stops.
 
     y0 has shape (k, N): k state components for N independent members.
     rhs must be autonomous and vectorized over the member axis.  Returns
     (ys, ok_mask) with ys[s] the state at stops[s], shape (S, k, N).  Each
     member carries its step size from one stop into the next.  Members
-    whose step size underflows are flagged and left frozen.
+    whose step size underflows, or that are still marching after
+    _MAX_SWEEPS sweeps, are flagged and left frozen.
     """
     y = np.array(y0, copy=True)
     n = y.shape[1]
     stops = np.atleast_1d(np.asarray(stops, dtype=float))
     ys = np.empty((stops.size,) + y.shape, dtype=y.dtype)
     t = np.zeros(n)
-    h = np.full(n, h0 if h0 is not None else 1e-3 * stops[-1])
+    h = np.full(n, _H0 * stops[0])
     ok = np.ones(n, dtype=bool)
     sweeps = 0
     for s, t_end in enumerate(stops):
@@ -75,7 +79,7 @@ def integrate_batch(rhs: Callable, y0: np.ndarray, stops,
         h = np.where(active, np.minimum(h, t_end - t), h)
         while np.any(active):
             sweeps += 1
-            if sweeps > max_sweeps:
+            if sweeps > _MAX_SWEEPS:
                 ok &= ~active
                 break
             ha = np.where(active, h, 0.0)
@@ -91,7 +95,7 @@ def integrate_batch(rhs: Callable, y0: np.ndarray, stops,
                 ynew += (_B5[j] * ha) * ks[j]
                 if _BE[j] != 0.0:
                     err += (_BE[j] * ha) * ks[j]
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
+            scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(ynew))
             enorm = np.max(np.abs(err) / scale, axis=0)
             enorm = np.where(np.isfinite(enorm), enorm, np.inf)
             accept = active & (enorm <= 1.0)
@@ -290,8 +294,8 @@ def _cartesian_rhs(profile):
     return rhs
 
 
-def exp_circle_points(profile, rho0: float, lengths, phis: np.ndarray,
-                      rtol: float = 1e-11) -> np.ndarray:
+def exp_circle_points(profile, rho0: float, lengths,
+                      phis: np.ndarray) -> np.ndarray:
     """Endpoints of geodesics from (rho0, 0) with launch angles phis.
 
     lengths increase; row s of the result holds the endpoints at
@@ -303,8 +307,7 @@ def exp_circle_points(profile, rho0: float, lengths, phis: np.ndarray,
     v0 = np.exp(1j * phis) / lam0
     y0 = np.stack([z0, v0])
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
-    ys, ok = integrate_batch(_cartesian_rhs(profile), y0, lengths,
-                             rtol=rtol, atol=1e-13, h0=lengths[0] * 1e-3)
+    ys, ok = integrate_batch(_cartesian_rhs(profile), y0, lengths)
     if not np.all(ok):
         raise ShootingError("exponential map integration failed")
     return ys[:, 0]

@@ -346,8 +346,7 @@ def _cmd_ode(args):
     _require(args, "g")
     g = _bound_from_args(args)
     u = solve_riccati_equality(g, r_end=args.r_end)
-    # stay clear of the final contact step before a blow-down, where the
-    # dense-output derivative is unreliable
+    # stop short of a blow-down, where rounding in u' + 2u^2 grows like u^2
     hi = min(args.r_end, 0.995 * u.r_max)
     grid = np.geomspace(args.grid_lo, hi, 400)
     rep = verify_supersolution(u, g, grid, tol=args.tol)

@@ -21,11 +21,14 @@ with each u's bound g, derivatives and domain:
 
 The power_decay row is built from (A, eps) by _power_decay_row.
 
-solve_riccati_equality integrates the Riccati equation with DOP853 and
-solve_convexifier builds h without an ODE stepper: two cumulative
-spectral integrals in t = log r, dV/dt = r u - 1/2 and
-dQ/dt = expm1(-2V), on Chebyshev panels that split where u needs it.
-The power-decay h uses the same Q integral with its exact V = -phi/2.
+Both solves run on one engine, without an ODE stepper: Chebyshev panels
+in t = log r that split where the solution needs it (_log_r_panels).
+solve_riccati_equality solves the Jacobi equation J'' = -g J, with
+u = J'/(2J), by collocation; g must accept arrays and is evaluated on
+all of (0, r_end], also past a blow-down.  solve_convexifier builds h
+from two cumulative spectral integrals, dV/dt = r u - 1/2 and
+dQ/dt = expm1(-2V).  The power-decay h uses the same Q integral with
+its exact V = -phi/2.
 
 Sign conventions here follow the supersolution inequality above: for a
 power-decay bound g = -A/(1+r)^(2+eps) the residual of the catalog u is
@@ -33,26 +36,23 @@ nonnegative (for eps < 1/2), and that is the direction verified.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
+# not called here: perfbench/tracing.py counts solve_ivp calls through
+# this name
+from scipy import integrate  # noqa: F401
 
 from . import _numdiff
 from .errors import BlowDownError, BudgetError, DomainError
 
 _R0_CHECK = 1e-4    # normalization probe radius
-_R_SERIES = 1e-6    # below this the Riccati solution uses its series start
-# budget per solve: right-hand side evaluations of the Riccati solve,
-# points of u (summed over the panel rounds) of the h quadrature
+# budget per solve, in panel nodes summed over the rounds: points of g
+# for the Riccati solve, points of u for the h quadrature
 _MAX_RHS = 50_000
-# Riccati tolerances, tighter than the 1e-8 residual target because the
-# residual is measured by differentiating the dense output, whose
-# derivative error tracks rtol closely
-_RICCATI_RTOL, _RICCATI_ATOL = 3e-12, 1e-14
 
 __all__ = [
     "CurvatureLowerBound",
@@ -94,7 +94,6 @@ class Supersolution:
     """
     u: Callable
     origin_normalized: bool
-    residual_fn: Callable | None
     u_prime: Callable | None = None
     bound: CurvatureLowerBound | None = None
     r_max: float = math.inf
@@ -140,7 +139,9 @@ def curvature_bound(tag: str, **params) -> CurvatureLowerBound:
     """Build a tagged lower bound for the radial curvature.
 
     tags: constant(c) | power_decay(A, eps) | inverse_square(C, r0)
-          | cigar | custom(g).
+          | cigar | custom(g).  g takes 1-d arrays of radii:
+    solve_riccati_equality evaluates it on whole arrays of panel nodes
+    over all of (0, r_end], also past a blow-down.
     """
     if tag == "constant":
         c = float(params.pop("c"))
@@ -209,134 +210,76 @@ def make_supersolution(u: Callable, u_prime: Callable | None = None,
     res = abs(2.0 * float(u(_R0_CHECK)) * _R0_CHECK - 1.0)
     if origin_normalized is None:
         origin_normalized = res <= 1e-3
-    residual_fn = _residual_fn(u, u_prime, g) if g is not None else None
     return Supersolution(u=u, origin_normalized=origin_normalized,
-                         residual_fn=residual_fn, u_prime=u_prime,
-                         bound=g, r_max=r_max, origin_residual=res,
-                         tag=tag, params=params)
-
-
-def _residual_fn(u, u_prime, g):
-    def residual(r):
-        r_arr = np.asarray(r, dtype=float)
-        if u_prime is not None:
-            du = np.asarray(u_prime(r_arr), dtype=float)
-        else:
-            du = np.array([_numdiff.first_derivative(
-                lambda t: float(u(t)), float(x)) for x in np.atleast_1d(r_arr)])
-            du = du.reshape(r_arr.shape) if r_arr.shape else du[0]
-        uu = np.asarray(u(r_arr), dtype=float)
-        return du + 2.0 * uu ** 2 + 0.5 * np.asarray(g(r_arr), dtype=float)
-    return residual
-
-
-def _budgeted(rhs: Callable, what: str) -> Callable:
-    """rhs counting its calls; past _MAX_RHS it raises BudgetError."""
-    calls = itertools.count(1)
-
-    def counted(r, y):
-        if next(calls) > _MAX_RHS:
-            raise BudgetError(f"{what} used up its budget of {_MAX_RHS} "
-                              f"right-hand side evaluations at r = {r:g}")
-        return rhs(r, y)
-    return counted
+                         u_prime=u_prime, bound=g, r_max=r_max,
+                         origin_residual=res, tag=tag, params=params)
 
 
 def solve_riccati_equality(g: CurvatureLowerBound,
                            r_end: float = 50.0) -> Supersolution:
-    """Integrate u' + 2u^2 + g/2 = 0 with the singular normalization.
+    """Solve u' + 2u^2 + g/2 = 0 with 2 u(r) r -> 1 as a Jacobi field.
 
-    Substituting w = 2 u r gives the regular system
-        w' = w (1 - w)/r - r g(r),   w(0) = 1,
-    started at r = 1e-6 from the series w = 1 - g(0) r^2 / 3.  A
-    blow-down (w -> -inf under positive bounds) stops the solve; the
-    estimated blow-down radius is recorded and evaluation past it
-    raises BlowDownError.  A solve that needs more than _MAX_RHS
-    evaluations of g raises BudgetError.
+    u = J'/(2J) turns it into J'' = -g J, J(0) = 0, J'(0) = 1, and a
+    blow-down of u into the first zero of J (pi/sqrt(c) under g = c).
+    J and P = J' are chained across the panels of _jacobi_transitions
+    from (J, P) = (r_s, 1) at r_s = 2^-27; below r_s, u = 1/(2r) to double
+    precision.  u' = P'/(2J) - 2u^2 takes P' from the panel interpolant
+    of P, so verify_supersolution measures the collocation defect.  Past
+    r_max = blow_down/(1 + 1e-4), where 2 u r ~ -1e4, u raises
+    BlowDownError.  Each panel round evaluates g once, on a 1-d array of
+    nodes; more than _MAX_RHS points of g raise BudgetError.
     """
     if isinstance(g, CurvatureLowerBound) and g.tag == "inverse_square":
         raise DomainError(
             "inverse_square bounds are non-integrable at r = 0; "
             "use verify_supersolution on r >= r0")
-    g0 = float(g(_R_SERIES))
-    w_start = 1.0 - g0 * _R_SERIES ** 2 / 3.0
+    a, b, r, trans = _log_r_panels(_jacobi_transitions(g), r_end,
+                                   "Riccati solve", "g")
+    # chain the transitions; renormalized start states keep growing fields
+    # finite and change neither u = P/(2J) nor the signs of J
+    starts = np.empty((r.shape[0], 2))
+    state = np.array([_R_LO, 1.0])
+    for k, end in enumerate(trans[:, -1]):
+        starts[k] = state = state / np.hypot(*state)
+        state = end @ state + [0.0, state[1]]
+    j, dev = np.einsum("nicb,nb->cni", trans, starts)
+    # dP/dt from the deviation, whose derivative carries no rounding of P_a
+    j_of, p_of, dp_of = (_interpolant(a, b, y, r_end) for y in (
+        j, starts[:, 1:] + dev, (dev @ _DIFF.T) / (0.5 * (b - a))[:, None]))
+    blow_down, r_max = None, r_end
+    hit = np.flatnonzero(j <= 0.0)
+    if hit.size:
+        # a simple zero, never at a panel start: secant between its nodes,
+        # then Newton steps with J' = P
+        i, rs, js = hit[0], r.ravel(), j.ravel()
+        x = rs[i - 1] + (rs[i] - rs[i - 1]) * js[i - 1] / (js[i - 1] - js[i])
+        for _ in range(3):
+            x -= float(j_of(x) / p_of(x))
+        blow_down, r_max = float(x), float(x) / (1.0 + 1e-4)
 
-    def rhs(r, w):
-        gv = float(g(r))
-        # flush denormal-scale curvature to zero: values this small poison
-        # DOP853's error estimator (its denominator underflows to 0/0) and
-        # are invisible in the solution at double precision anyway
-        if abs(gv) < 1e-120:
-            gv = 0.0
-        return w * (1.0 - w) / r - r * gv
-
-    def blow(r, w):
-        return w[0] + 1e4
-    blow.terminal = True
-    blow.direction = -1
-
-    sol = integrate.solve_ivp(
-        _budgeted(rhs, "Riccati solve"), (_R_SERIES, r_end), [w_start],
-        method="DOP853", rtol=_RICCATI_RTOL, atol=_RICCATI_ATOL,
-        dense_output=True, events=[blow])
-    if not sol.success and sol.status != 1:
-        raise DomainError(f"Riccati solve failed: {sol.message}")
-    blow_down = None
-    r_hi = r_end
-    if sol.status == 1:
-        r_ev = float(sol.t_events[0][0])
-        w_ev = float(sol.y_events[0][0][0])
-        # u ~ -1/(2 (r* - r)) near blow-down => r* = r_ev + r_ev/|w_ev|
-        blow_down = r_ev + r_ev / abs(w_ev)
-        r_hi = r_ev
-
-    dense = sol.sol
-
-    def w_of_r(r_arr):
-        out = np.empty_like(r_arr)
-        small = r_arr < _R_SERIES
-        if np.any(small):
-            out[small] = 1.0 - g0 * r_arr[small] ** 2 / 3.0
-        if np.any(~small):
-            out[~small] = dense(r_arr[~small])[0]
-        return out
-
-    def u(r):
+    def j_and_p(r):
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr <= 0):
             raise DomainError("u is defined for r > 0")
-        if np.any(r_arr > r_hi):
+        if np.any(r_arr > r_max):
             if blow_down is not None:
-                raise BlowDownError(
-                    f"u blows down near r = {blow_down:.6g}")
-            raise DomainError(f"u was solved on (0, {r_hi:g}]")
-        out = w_of_r(np.atleast_1d(r_arr)) / (2.0 * np.atleast_1d(r_arr))
-        return float(out[0]) if np.ndim(r) == 0 else out.reshape(r_arr.shape)
+                raise BlowDownError(f"u blows down near r = {blow_down:.6g}")
+            raise DomainError(f"u was solved on (0, {r_max:g}]")
+        return r_arr, j_of(r_arr), p_of(r_arr)
 
-    def residual_fn(r):
-        # residual in the solved variable: u = w/(2r), u' from Richardson
-        # on the dense w (u itself is too stiff to difference near 0, and
-        # near a blow-down the step must shrink like (r* - r)^(3/2))
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty(r_arr.shape)
-        for i, x in enumerate(r_arr):
-            gap = r_hi - x
-            h = min(1e-3 * (1.0 + x), 0.5 * x, max(0.5 * gap, 1e-6))
-            if blow_down is not None:
-                h = min(h, 1e-3 * max(gap, 0.0) ** 1.5 + 1e-12)
-            f = lambda t: float(dense(t)[0])
-            wp = _numdiff.first_derivative(f, x, h=h)
-            wv = f(x)
-            uv = wv / (2.0 * x)
-            up = wp / (2.0 * x) - wv / (2.0 * x * x)
-            out[i] = up + 2.0 * uv ** 2 + 0.5 * float(g(x))
-        return float(out[0]) if np.ndim(r) == 0 else out.reshape(
-            np.asarray(r).shape)
+    def u(r):
+        r_arr, j, p = j_and_p(r)
+        return np.where(r_arr < _R_LO, 0.5 / r_arr, p / (2.0 * j))[()]
 
-    return Supersolution(u=u, origin_normalized=True, residual_fn=residual_fn,
-                         u_prime=None,
+    def u_prime(r):
+        r_arr, j, p = j_and_p(r)
+        return np.where(r_arr < _R_LO, -0.5 / r_arr ** 2,
+                        dp_of(r_arr) / (2.0 * r_arr * j)
+                        - 2.0 * (p / (2.0 * j)) ** 2)[()]
+
+    return Supersolution(u=u, origin_normalized=True, u_prime=u_prime,
                          bound=g if isinstance(g, CurvatureLowerBound) else None,
-                         r_max=r_hi, blow_down=blow_down,
+                         r_max=r_max, blow_down=blow_down,
                          origin_residual=abs(2 * u(_R0_CHECK) * _R0_CHECK - 1),
                          tag=f"riccati[{getattr(g, 'tag', 'custom')}]")
 
@@ -356,15 +299,12 @@ def verify_supersolution(u: Supersolution, g: CurvatureLowerBound,
             raise DomainError(
                 f"inverse_square bound applies for r >= {r0:g}")
     if u.u_prime is not None:
-        res = _residual_fn(u.u, u.u_prime, g)(rs)
-    elif u.residual_fn is not None and u.bound is not None:
-        # shift the stored residual to the requested bound
-        res = (np.asarray(u.residual_fn(rs), dtype=float)
-               + 0.5 * (np.asarray(g(rs), dtype=float)
-                        - np.asarray(u.bound(rs), dtype=float)))
+        du = np.asarray(u.u_prime(rs), dtype=float)
     else:
-        res = _residual_fn(u.u, None, g)(rs)
-    res = np.asarray(res, dtype=float)
+        du = np.array([_numdiff.first_derivative(lambda t: float(u(t)), x)
+                       for x in rs.tolist()])
+    res = (du + 2.0 * np.asarray(u(rs), dtype=float) ** 2
+           + 0.5 * np.asarray(g(rs), dtype=float))
     k = int(np.argmin(res))
     return ResidualReport(min_residual=float(res[k]), argmin_r=float(rs[k]),
                           passed=bool(res[k] >= -tol), tol=tol,
@@ -395,8 +335,9 @@ def solve_convexifier(u: Supersolution, r_end: float | None = None) -> Convexifi
         hi = u.r_max * (1.0 - 1e-6)
 
     # dV/dt = r u - 1/2, whose value at the first node r_s is V(r_s)
-    a, b, _, rate = _log_r_panels(
-        lambda r: r * (np.asarray(u(r), dtype=float) - 0.5 / r), hi)
+    a, b, _, rate = _log_r_panels(_rate_tails(
+        lambda r: r * (np.asarray(u(r), dtype=float) - 0.5 / r)), hi,
+        "convexifier quadrature", "u")
     v = _cumulative(a, b, rate, rate[0, 0])
     v_of = _interpolant(a, b, v, hi)
     h = _log_r_h(a, b, v, hi)
@@ -427,48 +368,97 @@ _K = np.arange(16)
 _TO_COEF = np.polynomial.chebyshev.chebvander(_X, 15).T * (2.0 / 15.0)
 _TO_COEF[:, [0, -1]] *= 0.5
 _TO_COEF[[0, -1]] *= 0.5
-# node values -> integral of their interpolant from -1 up to each node
-_CUMINT = np.polynomial.chebyshev.chebval(
-    _X, np.polynomial.chebyshev.chebint(_TO_COEF, lbnd=-1.0, axis=0)).T
+# node values -> integral of their interpolant from -1 up to each node,
+# and -> its derivative at each node
+_CUMINT, _DIFF = (np.polynomial.chebyshev.chebval(_X, m).T for m in (
+    np.polynomial.chebyshev.chebint(_TO_COEF, lbnd=-1.0, axis=0),
+    np.polynomial.chebyshev.chebder(_TO_COEF, axis=0)))
 
 
-def _log_r_panels(rate: Callable, hi: float):
+def _log_r_panels(resolve: Callable, hi: float, what: str, of: str):
     """Panels [a, b] in t = log r covering [2^-27, hi], radii at their
-    nodes, and rate at those radii.
+    nodes, and what resolve makes of those radii.
 
-    Octave panels are halved while the tail of a panel's Chebyshev
-    coefficients, half (|c_14| + |c_15|), exceeds 1e-14 (1 + max|rate|).
-    Each round calls rate once, on the nodes of all new panels (clamped
-    to [2^-27, hi]); more than _MAX_RHS points in all raise BudgetError.
+    resolve(r, half) takes the node radii of a round's new panels, shape
+    (panels, 16) and clamped to [2^-27, hi], and the panels' half-widths
+    in t; it returns per-panel node data and a mask of the panels to
+    halve.  Octave panels are halved until none is flagged.  More than
+    _MAX_RHS nodes in all raise BudgetError.
     """
     if not hi > _R_LO:
-        raise DomainError(f"h needs r_end > {_R_LO:g}")
+        raise DomainError(f"{what} needs r_end > {_R_LO:g}")
     octaves = np.arange(math.log2(_R_LO), math.ceil(math.log2(hi)))
     edges = np.append(octaves * math.log(2.0), math.log(hi))
     a, b = edges[:-1], edges[1:]
-    done, spent, scale = [], 0, 0.0
+    done, spent = [], 0
     while a.size:
         r = np.clip(np.exp(0.5 * (a + b)[:, None]
                            + 0.5 * (b - a)[:, None] * _X), _R_LO, hi)
         spent += r.size
         if spent > _MAX_RHS:
-            raise BudgetError(f"convexifier quadrature used up its budget of "
-                              f"{_MAX_RHS} u points")
-        f = np.asarray(rate(r.ravel()), dtype=float).reshape(r.shape)
-        if not np.all(np.isfinite(f)):
-            raise DomainError(
-                f"u is not finite at r = {r[~np.isfinite(f)][0]:g}")
-        scale = max(scale, float(np.max(np.abs(f))))
-        coef = f @ _TO_COEF.T
-        tail = 0.5 * (b - a) * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
-        split = tail > 1e-14 * (1.0 + scale)
-        done.append((a[~split], b[~split], r[~split], f[~split]))
+            raise BudgetError(f"{what} used up its budget of {_MAX_RHS} "
+                              f"{of} points")
+        data, split = resolve(r, 0.5 * (b - a))
+        done.append((a[~split], b[~split], r[~split], data[~split]))
         mid = 0.5 * (a + b)[split]
         a, b = (np.concatenate([a[split], mid]),
                 np.concatenate([mid, b[split]]))
-    a, b, r, f = (np.concatenate(x) for x in zip(*done))
+    a, b, r, data = (np.concatenate(x) for x in zip(*done))
     order = np.argsort(a)
-    return a[order], b[order], r[order], f[order]
+    return a[order], b[order], r[order], data[order]
+
+
+def _finite(f: np.ndarray, r: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(f)):
+        raise DomainError(
+            f"{name} is not finite at r = {r[~np.isfinite(f)][0]:g}")
+    return f
+
+
+def _rate_tails(rate: Callable) -> Callable:
+    """resolve for _log_r_panels: rate at the nodes.  A panel splits while
+    its Chebyshev tail in t, half (|c_14| + |c_15|), exceeds
+    1e-14 (1 + max|rate| over the rounds so far)."""
+    scale = 0.0
+
+    def resolve(r, half):
+        nonlocal scale
+        f = _finite(np.asarray(rate(r.ravel()), dtype=float).reshape(r.shape),
+                    r, "u")
+        scale = max(scale, float(np.max(np.abs(f))))
+        coef = f @ _TO_COEF.T
+        tail = half * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
+        return f, tail > 1e-14 * (1.0 + scale)
+    return resolve
+
+
+def _jacobi_transitions(g: Callable) -> Callable:
+    """resolve for _log_r_panels: the transitions of dJ/dt = r P,
+    dP/dt = -r g J from (J_a, P_a) = (1, 0) and (0, 1) across each panel,
+    at its nodes, as (panels, 16, [J, P - P_a], [from (1, 0), (0, 1)]).
+
+    Each is solved as its deviation (x, y) from the flat transition
+    J = J_a + P_a (r - r_a), P = P_a, which keeps the digits of J ~ r at
+    the origin: x = half C (r y), y = -half C (r g (J_flat + x)), C the
+    cumulative integral on the nodes.  Eliminating x leaves one 16 x 16
+    system per panel, all solved in one batch.  A panel splits where the
+    Chebyshev tail |c_14| + |c_15| of a transition exceeds 1e-13 of its
+    values, J counted in units of the panel's end radius.
+    """
+    def resolve(r, half):
+        rg = r * _finite(np.asarray(g(r.ravel()), dtype=float).reshape(
+            r.shape), r, "g")
+        flat = np.stack([np.ones_like(r), r - r[:, :1]], axis=-1)
+        cr, crg = (half[:, None, None] * _CUMINT * w[:, None, :]
+                   for w in (r, rg))
+        y = np.linalg.solve(np.eye(16) + crg @ cr, -crg @ flat)
+        j = flat + cr @ y
+        full = np.stack([j / r[:, -1, None, None], y + [0.0, 1.0]], axis=-2)
+        tail = np.abs(np.einsum("kj,njcb->nkcb", _TO_COEF[-2:], full))
+        split = (tail.sum(1).max(1)
+                 > 1e-13 * np.abs(full).max(axis=(1, 2))).any(-1)
+        return np.stack([j, y], axis=-2), split
+    return resolve
 
 
 def _cumulative(a, b, f, y0: float) -> np.ndarray:
@@ -578,8 +568,13 @@ def _power_decay_row(A: float, eps: float) -> tuple:
     def phi(r):
         return 2.0 * A / (eps * (1.0 + r) ** eps) - 2.0 * A / eps
 
-    a, b, r_nodes, _ = _log_r_panels(
-        lambda r: A * r / (1.0 + r) ** (1 + eps), _H_TABLE_END)
+    @functools.cache
+    def h():
+        # built on first use: the supersolution lookup never needs it
+        a, b, r_nodes, _ = _log_r_panels(_rate_tails(
+            lambda r: A * r / (1.0 + r) ** (1 + eps)), _H_TABLE_END,
+            "convexifier quadrature", "u")
+        return _log_r_h(a, b, -0.5 * phi(r_nodes), _H_TABLE_END)
 
     def h_prime(r):
         _check_domain(r, _H_TABLE_END)
@@ -589,7 +584,7 @@ def _power_decay_row(A: float, eps: float) -> tuple:
         lambda r: 0.5 / r + A / (1.0 + r) ** (1 + eps),
         lambda r: -0.5 / r ** 2 - A * (1 + eps) / (1.0 + r) ** (2 + eps),
         ("power_decay", {"A": A, "eps": eps}), math.inf,
-        _log_r_h(a, b, -0.5 * phi(r_nodes), _H_TABLE_END), h_prime,
+        lambda r: h()(r), h_prime,
         lambda r: h_prime(r) * (-2.0 * A / (1.0 + r) ** (1 + eps) - 1.0 / r),
         0.0)
 

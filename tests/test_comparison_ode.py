@@ -26,7 +26,7 @@ from growthlab import (
     solve_riccati_equality,
     verify_supersolution,
 )
-from growthlab import comparison_ode
+from growthlab import _numdiff, comparison_ode
 
 EQUALITY_CATALOG = [
     # tag, matching constant bound c (None = cigar bound), closed-form u and h
@@ -77,6 +77,18 @@ def test_origin_normalization(tag, c):
     un = solve_riccati_equality(bound_for(tag, c), r_end=5.0)
     assert abs(2.0 * un(r0) * r0 - 1.0) <= 1e-6
     assert un.origin_normalized
+
+
+def test_power_decay_supersolution_builds_no_h(monkeypatch):
+    # the catalog u of power_decay needs none of its h quadrature
+    def no_panels(*args, **kwargs):
+        raise AssertionError("the power-decay u must not build h")
+
+    monkeypatch.setattr(comparison_ode, "_log_r_panels", no_panels)
+    u = closed_form_supersolution("power_decay", A=1.0, eps=0.4)
+    rs = np.geomspace(1e-3, 50.0, 20)
+    assert np.allclose(u(rs), 0.5 / rs + 1.0 / (1.0 + rs) ** 1.4,
+                       rtol=1e-15, atol=0.0)
 
 
 def test_power_decay_normalized_in_the_limit():
@@ -305,8 +317,13 @@ def test_blow_down_radius_sphere():
 
 
 def test_blow_down_radius_scales_with_bound():
-    un = solve_riccati_equality(curvature_bound("constant", c=4.0))
-    assert un.blow_down == pytest.approx(math.pi / 2, abs=1e-6)
+    # the first zero of the Jacobi field sin(sqrt(c) r)/sqrt(c); u ends
+    # where 2 u r = -1e4 to leading order
+    for c in (0.25, 1.0, 4.0):
+        un = solve_riccati_equality(curvature_bound("constant", c=c))
+        assert abs(un.blow_down - math.pi / math.sqrt(c)) <= 1e-12
+        assert un.r_max == pytest.approx(un.blow_down / (1.0 + 1e-4),
+                                         rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +341,41 @@ def test_equality_solution_matches_model_hessian(name):
     assert np.max(np.abs(got - want)) <= 1e-6
 
 
-def test_equality_solution_on_bare_cigar_curvature():
+def test_equality_solution_on_bare_cigar_curvature(monkeypatch):
     # the bare profile's curvature must be smooth enough for the Riccati
-    # solve to finish quickly and reproduce the cigar's closed-form u
+    # solve to finish in a few panel rounds, each one call of g on a 1-d
+    # array of nodes, with no ODE stepper, and reproduce the cigar's u
+    def no_ivp(*args, **kwargs):
+        raise AssertionError("the Riccati solve must not call solve_ivp")
+
+    monkeypatch.setattr(comparison_ode.integrate, "solve_ivp", no_ivp)
     cigar = builtin_model("cigar").profile
     bare = model_from_profile(RadialProfile(lam=cigar.lam, rho_max=math.inf,
                                             name="bare"))
-    calls = 0
+    args = []
 
     def g(r):
-        nonlocal calls
-        calls += 1
+        args.append(r)
         return radial_curvature(bare, r)
 
     un = solve_riccati_equality(curvature_bound("custom", g=g), r_end=5.0)
     grid = np.linspace(0.05, 5.0, 120)
     assert np.max(np.abs(un(grid) - 1.0 / np.sinh(2.0 * grid))) <= 1e-8
-    assert calls < 5000
+    assert 0 < len(args) <= 20
+    assert all(isinstance(r, np.ndarray) and r.ndim == 1 for r in args)
+
+
+def test_solved_residual_needs_no_numdiff(monkeypatch):
+    # the solved u carries u', so verification differentiates nothing
+    def no_numdiff(*args, **kwargs):
+        raise AssertionError("verify_supersolution must not difference u")
+
+    monkeypatch.setattr(_numdiff, "first_derivative", no_numdiff)
+    g = curvature_bound("constant", c=1.0)
+    un = solve_riccati_equality(g)
+    rep = verify_supersolution(un, g, np.geomspace(1e-3, 0.995 * un.r_max,
+                                                   400))
+    assert rep.min_residual >= -1e-10
 
 
 def test_evaluation_budget_raises(monkeypatch):
@@ -381,8 +416,7 @@ def test_monotone_dependence_on_bound(c1, c2):
 
 
 def test_denormal_scale_bound_flushes_to_flat():
-    # rhs values around 1e-158 underflow DOP853's error-norm denominator;
-    # bounds this small must behave exactly like g = 0
+    # a bound at denormal scale must behave exactly like g = 0
     u = solve_riccati_equality(curvature_bound("constant", c=2.4e-157))
     grid = np.linspace(0.05, 40.0, 60)
     assert np.max(np.abs(u(grid) - 0.5 / grid)) <= 1e-12

@@ -1,10 +1,12 @@
 """Smoke test of the benchmark harness in perfbench/.
 
-One quick geodesic-pairs pass, untraced and traced, and one traced quick
-growth-sweep pass.  The traced runs bind growthlab's functions by name
-(the growth layer, geodesic circles and the exponential-map integrator
-among them), so a rename that breaks the tracer fails here.  growth-sweep's
-off-center circles are all closed forms, so its pass runs no ODE stepper.
+One quick geodesic-pairs pass, untraced and traced, and traced quick
+growth-sweep and generic-profile passes.  The traced runs bind growthlab's
+functions by name (the growth layer, geodesic circles, the
+exponential-map integrator and the comparison solves among them), so a
+rename that breaks the tracer fails here.  growth-sweep's off-center
+circles are all closed forms, so its pass runs no ODE stepper, and the
+comparison solves of generic-profile run none either.
 """
 import json
 import subprocess
@@ -40,3 +42,16 @@ def test_growth_sweep_quick_traced():
     assert out["correct"] is True
     assert out["metrics"]["radial_metric.geodesic_circle.calls"]["value"] > 0
     assert out["metrics"]["radial_metric.integrate_batch.calls"]["value"] == 0
+
+
+def test_generic_profile_quick_traced():
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", "generic-profile", "--quick", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=False)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout.strip().splitlines()[-1])
+    assert out["correct"] is True
+    assert out["metrics"]["comparison_ode.ivp_calls"]["value"] == 0
+    # the Jacobi oracle's g, one array call per panel round
+    assert out["metrics"]["comparison_ode.g_evals"]["value"] <= 20
