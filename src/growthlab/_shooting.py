@@ -22,8 +22,8 @@ Two tools are used:
 
 * The Cartesian geodesic equation z'' = -F(|z|) conj(z) z'^2 with
   F = (log lam)'(rho)/rho, which is regular through the origin because lam
-  is even.  It drives off-center exponential-map circles on profiles
-  without closed-form ones (conformal_poly, tables, bare profiles) through
+  is even.  It drives the tabulated backend's off-center exponential-map
+  circles (conformal_poly, tables, bare profiles), given lam and F, through
   one vectorized Cash-Karp RKF45 stepper with per-member adaptive steps,
   so a batch of launch angles costs one pass, and circles of several
   radii about one center share it: the pass stops at each radius in turn.
@@ -282,9 +282,7 @@ def connect_lengths(profile, rho_p, rho_q, dtheta, r_p, r_q,
 _N_BASE = 1024    # launch angles per interpolated circle
 
 
-def _cartesian_rhs(profile):
-    logd = profile.log_d1_over_rho
-
+def _cartesian_rhs(logd):
     def rhs(y):
         z, v = y[0], y[1]
         rho = np.abs(z)
@@ -294,27 +292,29 @@ def _cartesian_rhs(profile):
     return rhs
 
 
-def exp_circle_points(profile, rho0: float, lengths,
+def exp_circle_points(lam, logd, rho0: float, lengths,
                       phis: np.ndarray) -> np.ndarray:
     """Endpoints of geodesics from (rho0, 0) with launch angles phis.
 
-    lengths increase; row s of the result holds the endpoints at
-    lengths[s], all from one integration.
+    logd is (log lam)'(rho)/rho.  lengths increase; row s of the result
+    holds the endpoints at lengths[s], all from one integration.
     """
-    lam0 = float(profile.lam(np.asarray(rho0)))
+    lam0 = float(lam(np.asarray(rho0)))
     n = phis.size
     z0 = np.full(n, rho0, dtype=complex)
     v0 = np.exp(1j * phis) / lam0
     y0 = np.stack([z0, v0])
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
-    ys, ok = integrate_batch(_cartesian_rhs(profile), y0, lengths)
+    ys, ok = integrate_batch(_cartesian_rhs(logd), y0, lengths)
     if not np.all(ok):
         raise ShootingError("exponential map integration failed")
     return ys[:, 0]
 
 
-def circle_interpolator(profile, center: complex, r) -> Callable:
+def circle_interpolator(lam, logd, center: complex, r) -> Callable:
     """phi -> z(phi) on the geodesic circles of radius r about center.
+
+    logd is (log lam)'(rho)/rho, with its even limit at rho = 0.
 
     r is a radius or a 1-d array of them; z(phi) has shape
     r.shape + phi.shape.  The chart is rotated to put the center on the
@@ -333,7 +333,7 @@ def circle_interpolator(profile, center: complex, r) -> Callable:
     half = _N_BASE // 2
     phis = np.linspace(0.0, 2.0 * math.pi, _N_BASE, endpoint=False)
     pts = np.empty((radii.size, _N_BASE + 1), dtype=complex)
-    pts[order, :half + 1] = exp_circle_points(profile, a, radii[order],
+    pts[order, :half + 1] = exp_circle_points(lam, logd, a, radii[order],
                                               phis[:half + 1])
     pts[:, half + 1:_N_BASE] = np.conj(pts[:, _N_BASE - half - 1:0:-1])
     pts[:, _N_BASE] = pts[:, 0]

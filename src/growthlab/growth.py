@@ -233,6 +233,7 @@ def _directions(n: int, count: int) -> np.ndarray:
 _STARTS = 32         # best sampled directions polished per sphere
 _NEWTON_STEPS = 100  # Newton iterations per member, at most
 _HALVINGS = 50       # step halvings per Newton iteration, at most
+_RAY_SAMPLES = 24    # sample rays of homogeneity_check
 
 
 def _jet(f: HoloPoly) -> Callable:
@@ -397,7 +398,7 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
 
 
 def max_modulus(model: RadialKahlerModel, f: HoloPoly, center=None,
-                r: float = None, refine: bool = True) -> float:
+                r: float = None) -> float:
     """max |f| over the geodesic ball of radius r about center.
 
     The one-radius case of growth_curve.  Single monomials centered at
@@ -406,8 +407,6 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center=None,
     angles, the best one refined by a bounded scalar search; on the
     sphere of C^n (n >= 2) at 480 n fixed Halton directions, the best 32
     climbed by a Riemannian Newton ascent to rounding level.
-    refine=False returns the best sample: with a fixed direction set the
-    bias is nearly scale-independent, good enough for slope fits.
     """
     if r is None:
         raise DomainError("max_modulus needs a radius")
@@ -415,7 +414,7 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center=None,
         raise DomainError("radius must be positive")
     center = f.basepoint if center is None else complex(center)
     return float(_max_moduli(model, f, center, np.array([float(r)]),
-                             refine)[0])
+                             True)[0])
 
 
 def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
@@ -427,6 +426,8 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
     sphere ascents of every radius run as one batch (and climb once more
     from each other radius's best direction), and off-center balls take
     closed-form circles or share one exp-map integration of all radii.
+    refine=False returns the best samples: with a fixed direction set the
+    bias is nearly scale-independent, good enough for slope fits.
     """
     rs = np.asarray(radii, dtype=float)
     if rs.ndim != 1 or rs.size == 0:
@@ -551,8 +552,7 @@ def necessity_deficit(model: RadialKahlerModel, r_grid) -> float:
 
 
 def homogeneity_check(model: RadialKahlerModel, f: HoloPoly, K: float,
-                      r: float, ray_samples: int = 24,
-                      d: float | None = None) -> float:
+                      r: float, *, d: float | None = None) -> float:
     """sup |f(y) r(x)^d - f(x) r(y)^d| / (M_f(r) r^d) over sample rays.
 
     x runs over the shell B(0, Kr) minus B(0, r) along rays, y over the
@@ -563,8 +563,8 @@ def homogeneity_check(model: RadialKahlerModel, f: HoloPoly, K: float,
         raise DomainError("homogeneity checks need a noncompact model")
     if K <= 1:
         raise DomainError("need K > 1")
-    if r <= 0 or ray_samples < 1:
-        raise DomainError("need r > 0 and at least one ray")
+    if r <= 0:
+        raise DomainError("need r > 0")
     if d is None:
         # moderate probe first (exponential growth overflows far out),
         # then push the window out so lower-order terms stop biasing it
@@ -582,9 +582,9 @@ def homogeneity_check(model: RadialKahlerModel, f: HoloPoly, K: float,
         raise DomainError("order at infinity must be positive")
 
     if f.n == 1:
-        dirs = np.exp(2j * math.pi * np.arange(ray_samples) / ray_samples)
+        dirs = np.exp(2j * math.pi * np.arange(_RAY_SAMPLES) / _RAY_SAMPLES)
     else:
-        dirs = _directions(f.n, ray_samples)
+        dirs = _directions(f.n, _RAY_SAMPLES)
     r_x = np.geomspace(r, K * r, 8)
     frac = np.linspace(0.0, 1.0, 10)
     denom = max_modulus(model, f, 0, r) * r ** d

@@ -31,12 +31,13 @@ Built-in profiles
     conformal_poly  lam = c0 + c1 rho^2 + ...    polynomial in rho^2
     custom          cubic spline through a user table (rho, lam)
 
-The first four have closed-form radial maps r(rho), rho(r), H(r) and u(r).
-The others get them from one table built with the model: r at graded rho
-knots by Gauss-Legendre panels (exact for conformal_poly), rho(r) by a
-Hermite guess and Newton steps, and log lam derivatives from d_lam / d2_lam
-or from Chebyshev panels of G(s) = log lam(sqrt s), s = rho^2, where
-(log lam)'/rho = 2 G' and Delta_0 log lam = 4 (G' + s G'').
+The first four have closed-form radial maps r(rho), rho(r), H(r), u(r) and
+geodesic circles.  The others get them from one table built with the model:
+r at graded rho knots by 10-point Gauss-Legendre panels (exact for
+conformal_poly up to degree 9 in rho^2), rho(r) by a Hermite guess and
+Newton steps, log lam derivatives from d_lam / d2_lam or from Chebyshev
+panels of G(s) = log lam(sqrt s), s = rho^2, where (log lam)'/rho = 2 G'
+and Delta_0 log lam = 4 (G' + s G''), and circles from the exp map.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ import numpy as np
 from scipy import integrate, optimize  # noqa: F401
 
 from . import _numdiff, _shooting  # noqa: F401
-from .errors import ConjugatePointError, DomainError, ShootingError
+from .errors import BudgetError, ConjugatePointError, DomainError, ShootingError
 
 __all__ = [
     "RadialProfile",
@@ -74,8 +75,7 @@ class RadialProfile:
     """Conformal factor of the line metric, with optional analytic derivatives.
 
     lam must accept numpy arrays.  Without d_lam / d2_lam, model_from_profile
-    differentiates log lam itself.  Only the integrated exp-map circles of
-    models without f_circle read log_d1_over_rho; the table backend fills it.
+    differentiates log lam itself.
     """
 
     lam: Callable
@@ -83,9 +83,6 @@ class RadialProfile:
     name: str
     d_lam: Callable | None = None
     d2_lam: Callable | None = None
-    # (log lam)'(rho) / rho with its even limit at rho = 0; the Cartesian
-    # geodesic equation needs it to stay regular through the origin
-    log_d1_over_rho: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -97,14 +94,15 @@ class RadialKahlerModel:
     kind: str
     r_max: float
     conjugate_radius: float
-    # radial maps on arrays, no domain checks: closed forms or the table
+    # radial maps and circles on arrays, no domain checks: closed forms or
+    # the table
     f_r_of_rho: Callable
     f_rho_of_r: Callable
     f_curvature: Callable                    # H(r)
     f_hessian: Callable                      # u(r)
+    f_circle: Callable                       # (center, r) -> (phi -> z)
     params: tuple = ()
     f_pair_distance: Callable | None = None  # d(p, q), complex args
-    f_circle: Callable | None = None         # (center, r) -> (phi -> z)
 
     def __post_init__(self):
         if self.n < 1:
@@ -180,68 +178,39 @@ def _cigar_model(n: int) -> RadialKahlerModel:
     )
 
 
-def _hyperbolic_model(n: int, kappa: float) -> RadialKahlerModel:
+def _space_form(n: int, kappa: float, s: float) -> RadialKahlerModel:
+    """Hyperbolic disk (s = 1) or sphere (s = -1), H = -s kappa.  Distances
+    use a = |p - q|, b = |1 - s conj(p) q|: 2 atan2(a, b) on the sphere, and
+    2 artanh(a/b) = log1p(2a(a + b)/(b^2 - a^2)) on the disk, where
+    b^2 - a^2 = (1 - |p|^2)(1 - |q|^2); both keep nearby pairs accurate."""
+    kind = "hyperbolic" if s > 0 else "sphere"
     if kappa <= 0:
-        raise DomainError("hyperbolic model needs kappa > 0")
+        raise DomainError(f"{kind} model needs kappa > 0")
     sk = math.sqrt(kappa)
+    tan, atan = (np.tanh, np.arctanh) if s > 0 else (np.tan, np.arctan)
+    r_max = math.inf if s > 0 else math.pi / sk
+    rho_of_r = lambda r: tan(sk * r / 2.0)
 
-    def lam(rho):
-        return 2.0 / (sk * (1.0 - rho ** 2))
-
-    rho_of_r = lambda r: np.tanh(sk * r / 2.0)
     def pair(p, q):
-        p = np.asarray(p, dtype=complex)
-        q = np.asarray(q, dtype=complex)
-        num = 2.0 * np.abs(p - q) ** 2
+        a = np.abs(p - q)
+        b = np.abs(1.0 - s * np.conj(p) * q)
+        if s < 0:
+            return 2.0 * np.arctan2(a, b) / sk
         den = (1.0 - np.abs(p) ** 2) * (1.0 - np.abs(q) ** 2)
-        return np.arccosh(1.0 + num / den) / sk
+        return np.log1p(2.0 * a * (a + b) / den) / sk
 
-    prof = RadialProfile(lam=lam, rho_max=1.0,
-                         name=f"hyperbolic(kappa={kappa:g})")
+    prof = RadialProfile(lam=lambda rho: 2.0 / (sk * (1.0 - s * rho ** 2)),
+                         rho_max=1.0 if s > 0 else math.inf,
+                         name=f"{kind}(kappa={kappa:g})")
     return RadialKahlerModel(
-        n=n, profile=prof, kind="hyperbolic", r_max=math.inf,
-        conjugate_radius=math.inf, params=(kappa,),
-        f_r_of_rho=lambda rho: 2.0 * np.arctanh(rho) / sk,
+        n=n, profile=prof, kind=kind, r_max=r_max, conjugate_radius=r_max,
+        params=(kappa,),
+        f_r_of_rho=lambda rho: 2.0 * atan(rho) / sk,
         f_rho_of_r=rho_of_r,
-        f_curvature=lambda r: -kappa + 0.0 * r,
-        f_hessian=lambda r: sk / (2.0 * np.tanh(sk * r)),
+        f_curvature=lambda r: -s * kappa + 0.0 * r,
+        f_hessian=lambda r: sk / (2.0 * tan(sk * r)),
         f_pair_distance=pair,
-        f_circle=_moebius_circle(rho_of_r, 1.0),
-    )
-
-
-def _sphere_model(n: int, kappa: float) -> RadialKahlerModel:
-    if kappa <= 0:
-        raise DomainError("sphere model needs kappa > 0")
-    sk = math.sqrt(kappa)
-
-    def lam(rho):
-        return 2.0 / (sk * (1.0 + rho ** 2))
-
-    rho_of_r = lambda r: np.tan(sk * r / 2.0)
-    def _lift(z):
-        z = np.asarray(z, dtype=complex)
-        s = np.abs(z) ** 2
-        d = 1.0 + s
-        return np.stack([2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - s) / d])
-
-    def pair(p, q):
-        a, b = _lift(p), _lift(q)
-        dot = np.sum(a * b, axis=0)
-        cross = np.linalg.norm(np.cross(a, b, axis=0), axis=0)
-        return np.arctan2(cross, dot) / sk
-
-    prof = RadialProfile(lam=lam, rho_max=math.inf,
-                         name=f"sphere(kappa={kappa:g})")
-    return RadialKahlerModel(
-        n=n, profile=prof, kind="sphere", r_max=math.pi / sk,
-        conjugate_radius=math.pi / sk, params=(kappa,),
-        f_r_of_rho=lambda rho: 2.0 * np.arctan(rho) / sk,
-        f_rho_of_r=rho_of_r,
-        f_curvature=lambda r: kappa + 0.0 * r,
-        f_hessian=lambda r: sk / (2.0 * np.tan(sk * r)),
-        f_pair_distance=pair,
-        f_circle=_moebius_circle(rho_of_r, -1.0),
+        f_circle=_moebius_circle(rho_of_r, s),
     )
 
 
@@ -253,35 +222,17 @@ def _conformal_poly_model(n: int, coeffs: Sequence[float]) -> RadialKahlerModel:
         raise DomainError("conformal_poly needs lam(0) = c0 > 0")
     # lam(rho) = P(s), s = rho^2; the chart ends at the first positive root of P
     p = np.polynomial.Polynomial(c)
-    dp = p.deriv()
-    d2p = p.deriv(2)
-    rho_max = math.inf
-    roots = p.roots()
-    real_pos = [rt.real for rt in roots if abs(rt.imag) < 1e-12 and rt.real > 0]
-    if real_pos:
-        rho_max = math.sqrt(min(real_pos))
-
-    def lam(rho):
-        return p(rho ** 2)
-
-    # exact antiderivative: integral of sum c_i rho^{2i} is sum c_i rho^{2i+1}/(2i+1)
-    def r_of_rho(rho):
-        rho = np.asarray(rho, dtype=float)
-        s = rho ** 2
-        acc = np.zeros_like(s)
-        for i in range(c.size - 1, -1, -1):
-            acc = acc * s + c[i] / (2 * i + 1)
-        return acc * rho if rho.ndim else float(acc * rho)
-
+    dp, d2p = p.deriv(), p.deriv(2)
+    pos = [rt.real for rt in p.roots() if abs(rt.imag) < 1e-12 and rt.real > 0]
+    rho_max = math.sqrt(min(pos)) if pos else math.inf
     prof = RadialProfile(
-        lam=lam, rho_max=rho_max, name=f"conformal_poly{tuple(c)}",
+        lam=lambda rho: p(rho ** 2), rho_max=rho_max,
+        name=f"conformal_poly{tuple(c)}",
         d_lam=lambda rho: 2.0 * rho * dp(rho ** 2),
         d2_lam=lambda rho: 2.0 * dp(rho ** 2) + 4.0 * rho ** 2 * d2p(rho ** 2),
     )
-    r_max = r_of_rho(rho_max - 1e-12) if math.isfinite(rho_max) else math.inf
-    return RadialKahlerModel(
-        n=n, kind="conformal_poly", r_max=r_max, conjugate_radius=math.inf,
-        params=tuple(c), **_tabulated_maps(prof, r_of_rho))
+    return replace(model_from_profile(prof, n), kind="conformal_poly",
+                   params=tuple(c))
 
 
 def builtin_model(tag: str, n: int = 1, *, kappa: float = 1.0,
@@ -292,10 +243,8 @@ def builtin_model(tag: str, n: int = 1, *, kappa: float = 1.0,
         return _flat_model(n)
     if tag == "cigar":
         return _cigar_model(n)
-    if tag == "hyperbolic":
-        return _hyperbolic_model(n, kappa)
-    if tag == "sphere":
-        return _sphere_model(n, kappa)
+    if tag in ("hyperbolic", "sphere"):
+        return _space_form(n, kappa, 1.0 if tag == "hyperbolic" else -1.0)
     if tag == "conformal_poly":
         if coeffs is None:
             raise DomainError("conformal_poly needs coeffs")
@@ -324,7 +273,7 @@ def model_from_profile(profile: RadialProfile, n: int = 1) -> RadialKahlerModel:
         # edge blowup keeps them flat or growing
         if incs[-1] < 0.05 * incs[-2] and incs[-1] < 1e-3 * (1.0 + r_cut[-1]):
             r_max = float(r_cut[-1])
-    return RadialKahlerModel(n=n, kind="custom", r_max=r_max,
+    return RadialKahlerModel(n=n, profile=profile, kind="custom", r_max=r_max,
                              conjugate_radius=math.inf, **maps)
 
 
@@ -370,6 +319,7 @@ _CHEB = 24         # Chebyshev points per panel of G(s)
 # the first G panel is [0, _G_FIRST min(1, s_max)]: narrower panels near
 # s = 0 would lose G' to the rounding of lam
 _G_FIRST = 2.0 ** -8
+_NEWTON_CAP = 60   # Newton steps of rho(r) per call
 _XG, _WG = np.polynomial.legendre.leggauss(10)
 
 
@@ -391,17 +341,16 @@ def _gauss(lam: Callable, a, b):
     return half * (lam(x) @ _WG)
 
 
-def _chart(lam: Callable, knots: np.ndarray, exact: Callable | None):
+def _chart(lam: Callable, knots: np.ndarray):
     """r(rho) and its inverse from one table of r at the knots.
 
-    Without a closed form (exact), panels are integrated by the Gauss-
-    Legendre rule and a point adds its partial panel.  The table ends where
-    lam or r stops being finite or r stops increasing; rho(r) beyond it
-    raises DomainError.
+    Panels are integrated by the Gauss-Legendre rule and a point adds its
+    partial panel.  The table ends where lam or r stops being finite or r
+    stops increasing; rho(r) beyond it raises DomainError.
     """
     with np.errstate(all="ignore"):
         lam_k = lam(knots)
-        r_k = exact(knots) if exact is not None else np.concatenate(
+        r_k = np.concatenate(
             [[0.0], np.cumsum(_gauss(lam, knots[:-1], knots[1:]))])
         ok = np.isfinite(r_k) & np.isfinite(lam_k) & (lam_k > 0)
         ok[1:] &= np.diff(r_k) > 0
@@ -413,8 +362,6 @@ def _chart(lam: Callable, knots: np.ndarray, exact: Callable | None):
     inner_rho, inner_r = knots[1:-1], r_k[1:-1]
 
     def r_of_rho(rho):
-        if exact is not None:
-            return exact(rho)
         j = np.searchsorted(inner_rho, rho, "right")
         return r_k[j] + _gauss(lam, knots[j], rho)
 
@@ -425,16 +372,22 @@ def _chart(lam: Callable, knots: np.ndarray, exact: Callable | None):
         j = np.searchsorted(inner_r, r, "right")
         lo, hi, h = knots[j], knots[j + 1], r_k[j + 1] - r_k[j]
         t = (r - r_k[j]) / h
-        # cubic Hermite in r with slopes drho/dr = 1/lam, then Newton steps
-        # kept inside the panel (three suffice in practice; eight at most)
+        # cubic Hermite in r with slopes drho/dr = 1/lam, clipped into the
+        # panel, then Newton steps kept inside it (three suffice in practice)
         rho = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * lo
                + t * t * (3.0 - 2.0 * t) * hi
                + h * t * (1.0 - t) * ((1.0 - t) / lam_k[j] - t / lam_k[j + 1]))
-        for _ in range(8):
+        rho, prev = np.minimum(np.maximum(rho, lo), hi), np.inf
+        for _ in range(_NEWTON_CAP):
             step = (r_of_rho(rho) - r) / lam(rho)
             rho = np.minimum(np.maximum(rho - step, lo), hi)
-            if np.all(np.abs(step) <= 2e-15 * rho):
-                break
+            # converged, or stalled at the rounding of r (no longer halving)
+            size = np.abs(step)
+            if np.all(size <= np.where(size >= 0.5 * prev, 1e-12, 2e-15) * rho):
+                return rho
+            prev = size
+        _require(size <= 1e-12 * rho, r, "rho(r) needs more than "
+                 f"{_NEWTON_CAP} Newton steps at some r", BudgetError)
         return rho
 
     return r_of_rho, rho_of_r
@@ -476,17 +429,17 @@ def _g_panels(lam: Callable, knots: np.ndarray) -> Callable:
     return derivs
 
 
-def _tabulated_maps(profile: RadialProfile, exact: Callable | None = None):
+def _tabulated_maps(profile: RadialProfile):
     """Model fields for a profile without closed-form radial maps.
 
     H = -Delta_0 log lam / lam^2 and u = (1 + rho^2 (log lam)'/rho) /
     (2 lam rho) at rho = rho(r), from d_lam and d2_lam when the profile has
     them ((log lam)'/rho -> lam''(0)/lam(0) at 0), else from the G panels.
-    The returned profile carries (log lam)'/rho for geodesic circles.
+    Circles integrate the exp map with the same (log lam)'/rho.
     """
     lam, d1, d2 = profile.lam, profile.d_lam, profile.d2_lam
     knots = _graded(profile.rho_max)
-    r_of_rho, rho_of_r = _chart(lam, knots, exact)
+    r_of_rho, rho_of_r = _chart(lam, knots)
     if d1 is not None and d2 is not None:
         def derivs(rho):
             lv, pos = lam(rho), rho > 0
@@ -504,10 +457,13 @@ def _tabulated_maps(profile: RadialProfile, exact: Callable | None = None):
         rho = rho_of_r(r)
         return (1.0 + rho * rho * derivs(rho)[0]) / (2.0 * lam(rho) * rho)
 
-    over_rho = profile.log_d1_over_rho or (lambda rho: derivs(rho)[0])
-    return dict(profile=replace(profile, log_d1_over_rho=over_rho),
-                f_r_of_rho=r_of_rho, f_rho_of_r=rho_of_r,
-                f_curvature=curvature, f_hessian=hessian)
+    def circle(center, rs):
+        # _shooting's binding is read per call: a wrapper put there sees it
+        return _shooting.circle_interpolator(
+            lam, lambda rho: derivs(rho)[0], center, rs)
+
+    return dict(f_r_of_rho=r_of_rho, f_rho_of_r=rho_of_r,
+                f_curvature=curvature, f_hessian=hessian, f_circle=circle)
 
 
 # ---------------------------------------------------------------------------
@@ -517,28 +473,34 @@ def _shaped(out, like):
     return float(out) if np.ndim(like) == 0 else np.asarray(out, dtype=float)
 
 
+def _require(ok, x, what: str, error=DomainError) -> None:
+    """Raise error naming the first entry of x where ok fails."""
+    if not np.all(ok):
+        bad = float(np.asarray(x)[~np.asarray(ok)].flat[0])
+        raise error(f"{what}, got {bad}")
+
+
 def distance_from_origin(model: RadialKahlerModel, rho) -> float:
     """Geodesic radius r(rho): closed form, or table plus a partial panel."""
     rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0) or np.any(rho_arr >= model.profile.rho_max):
-        raise DomainError(
-            f"rho must lie in [0, {model.profile.rho_max}), got {rho}")
+    _require((rho_arr >= 0) & (rho_arr < model.profile.rho_max), rho_arr,
+             f"rho must lie in [0, {model.profile.rho_max})")
     return _shaped(model.f_r_of_rho(rho_arr), rho)
 
 
 def rho_of_r(model: RadialKahlerModel, r):
     """Invert r(rho): closed form, or table Hermite guess and Newton steps."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0) or np.any(r_arr >= model.r_max):
-        raise DomainError(f"r must lie in [0, {model.r_max}), got {r}")
+    _require((r_arr >= 0) & (r_arr < model.r_max), r_arr,
+             f"r must lie in [0, {model.r_max})")
     return _shaped(model.f_rho_of_r(r_arr), r)
 
 
 def radial_curvature(model: RadialKahlerModel, r):
     """Gaussian curvature H of the line metric at geodesic radius r > 0."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0) or np.any(r_arr >= model.r_max):
-        raise DomainError(f"radial_curvature needs 0 < r < r_max, got {r}")
+    _require((r_arr > 0) & (r_arr < model.r_max), r_arr,
+             f"radial_curvature needs 0 < r < r_max = {model.r_max}")
     return _shaped(model.f_curvature(r_arr), r)
 
 
@@ -555,14 +517,12 @@ def model_hessian(model: RadialKahlerModel, r):
     Raises ConjugatePointError at or beyond the first zero of J.
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0):
-        raise DomainError(f"model_hessian needs r > 0, got {r}")
-    if np.any(r_arr >= model.conjugate_radius):
-        raise ConjugatePointError(
-            f"J(r) vanishes at r = {model.conjugate_radius:g}; "
-            f"requested r = {r}")
-    if np.any(r_arr >= model.r_max):
-        raise DomainError(f"model_hessian needs r < r_max = {model.r_max}")
+    _require(r_arr > 0, r_arr, "model_hessian needs r > 0")
+    _require(r_arr < model.conjugate_radius, r_arr,
+             f"J(r) vanishes at r = {model.conjugate_radius:g}; model_hessian "
+             "needs r below it", ConjugatePointError)
+    _require(r_arr < model.r_max, r_arr,
+             f"model_hessian needs r < r_max = {model.r_max}")
     return _shaped(model.f_hessian(r_arr), r)
 
 
@@ -647,9 +607,10 @@ def geodesic_circle(model: RadialKahlerModel, center, r) -> Callable:
     The parametrization is by launch angle of the exponential map at the
     center (phi = 0 points away from the origin).  r may also be a 1-d
     array of radii; z(phi) then has shape r.shape + phi.shape, one row per
-    circle.  Circles about the origin and the model's f_circle are exact;
-    otherwise 1024 launch angles are integrated through every radius at
-    once and interpolated by periodic cubic splines.
+    circle.  Circles about the origin are exact; the others are the
+    model's f_circle: exact on the built-in closed-form models, and on the
+    tabulated backend 1024 launch angles integrated through every radius
+    at once and interpolated by periodic cubic splines.
     """
     center = complex(center)
     rs = np.asarray(r, dtype=float)
@@ -662,6 +623,4 @@ def geodesic_circle(model: RadialKahlerModel, center, r) -> Callable:
         return lambda phi: np.multiply.outer(rr, np.exp(1j * np.asarray(phi)))
     if distance_from_origin(model, abs(center)) + np.max(rs) >= model.r_max:
         raise DomainError("geodesic circle leaves the chart")
-    if model.f_circle is not None:
-        return model.f_circle(center, rs)
-    return _shooting.circle_interpolator(model.profile, center, rs)
+    return model.f_circle(center, rs)

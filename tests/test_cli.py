@@ -264,6 +264,15 @@ def test_evaluation_budget_exit_code(monkeypatch, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_out_of_range_radii_make_one_error_line(capsys):
+    # 464 radii past the table's r_max: one short stderr line, exit 2
+    table = ROOT / "perfbench" / "cigar_61.txt"
+    assert main(["curvature", "--model", "table", "--table", str(table),
+                 "--radii", "0.1:4:464"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_curvature_table(tmp_path):
     path = tmp_path / "curv.csv"
     code = main(["curvature", "--model", "cigar", "--radii", "0.1:3:12",

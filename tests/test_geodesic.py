@@ -149,6 +149,19 @@ def test_shoot_accuracy_against_closed_forms():
         assert np.max(np.abs(d - ref(ps, qs))) <= 1e-8, tag
 
 
+@pytest.mark.parametrize("tag", ["hyperbolic", "sphere"])
+@pytest.mark.parametrize("kappa", [1.0, 2.5])
+def test_closed_form_nearby_pairs(tag, kappa):
+    # pairs 1e-9 apart: d = lam(midpoint) |p - q| up to O(|p - q|^2)
+    rng = np.random.default_rng(29)
+    m = builtin_model(tag, kappa=kappa)
+    ps, _ = rand_pairs(rng, 0.9, 20)
+    qs = ps + 1e-9 * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+    d = pair_distances(m, ps, qs, method="auto")
+    ref = m.profile.lam(np.abs(0.5 * (ps + qs))) * np.abs(ps - qs)
+    assert np.all(np.abs(d - ref) <= 1e-12 * d)
+
+
 def test_scaled_curvature_closed_forms():
     rng = np.random.default_rng(104)
     k = 2.0
@@ -419,6 +432,23 @@ def test_cigar_circle_matches_integrated():
         z = geodesic_circle(cigar, c, rs)(phis)
         ref = geodesic_circle(bare, c, rs)(phis)
         assert np.max(np.abs(z - ref) / np.abs(ref)) <= 1e-8
+
+
+def test_tabulated_circle_calls_interpolator_once(monkeypatch):
+    # the tabulated backend's circles go through one circle_interpolator
+    # call, looked up in _shooting when the circle is asked for
+    bare = _bare_cigar()
+    calls = []
+    original = _shooting.circle_interpolator
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_shooting, "circle_interpolator", counted)
+    circle = geodesic_circle(bare, 0.6 + 0.5j, [0.4, 0.9])
+    assert len(calls) == 1
+    assert circle(np.linspace(0, 6, 5)).shape == (2, 5)
 
 
 @pytest.mark.parametrize("tag", ["flat", "hyperbolic", "sphere", "cigar"])

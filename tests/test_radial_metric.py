@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import (
+    BudgetError,
     ConjugatePointError,
     DomainError,
     RadialProfile,
@@ -80,6 +81,15 @@ def test_distance_closed_forms():
         distance_from_origin(builtin_model("conformal_poly",
                                            coeffs=[1.0, 1.0]), rho),
         rho + rho ** 3 / 3, rtol=0, atol=1e-13)
+    # the table's Gauss-Legendre panels integrate lam = P(rho^2) exactly,
+    # up to the edge of a disk
+    for c in ([1.0, -0.5], [1.0, 0.3, -0.02]):
+        m = builtin_model("conformal_poly", coeffs=c)
+        rho = np.linspace(0.0, m.profile.rho_max * (1 - 1e-9), 200)[1:]
+        exact = sum(ci * rho ** (2 * i + 1) / (2 * i + 1)
+                    for i, ci in enumerate(c))
+        assert np.max(np.abs(distance_from_origin(m, rho) / exact - 1)) \
+            <= 1e-14, c
 
 
 def test_kappa_rescaling():
@@ -90,6 +100,46 @@ def test_kappa_rescaling():
                         0.5 * distance_from_origin(m1, 0.5), rel_tol=1e-14)
     m4s = builtin_model("sphere", kappa=4.0)
     assert math.isclose(m4s.r_max, math.pi / 2, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("model,rho_top", [
+    (model_from_profile(RadialProfile(lam=lambda rho: np.exp(rho * rho),
+                                      rho_max=math.inf, name="exp")), 5.0),
+    (builtin_model("conformal_poly", coeffs=[1.0] + [0.1] * 11), 3.0),
+])
+def test_tabulated_round_trip_steep_profiles(model, rho_top):
+    # the Hermite guess leaves the panel on steep profiles; clipped, Newton
+    # converges (lam = exp(rho^2) read NaN past r = 8.6e4 without the clip)
+    rs = np.geomspace(1e-3, distance_from_origin(model, rho_top), 400)
+    rho = rho_of_r(model, rs)
+    assert np.all(np.isfinite(rho))
+    assert np.max(np.abs(distance_from_origin(model, rho) / rs - 1)) <= 1e-12
+
+
+def test_tabulated_rho_of_r_budget(monkeypatch):
+    m = builtin_model("conformal_poly", coeffs=[1.0] + [0.1] * 11)
+    monkeypatch.setattr(radial_metric, "_NEWTON_CAP", 2)
+    with pytest.raises(BudgetError, match="Newton steps"):
+        rho_of_r(m, np.geomspace(1.0, 1e6, 464))
+
+
+def test_domain_errors_name_one_value():
+    # 464 radii out of range make a one-line message, not the array
+    sphere = builtin_model("sphere")
+    rs = np.linspace(0.5, 4.0, 464)
+    calls = [
+        (distance_from_origin, builtin_model("hyperbolic"), rs, DomainError),
+        (rho_of_r, sphere, rs, DomainError),
+        (radial_curvature, sphere, rs, DomainError),
+        (model_hessian, sphere, rs, ConjugatePointError),
+        (model_hessian, sphere, -rs, DomainError),
+        (rho_of_r, builtin_model("conformal_poly", coeffs=[1.0, -0.5]), rs,
+         DomainError),
+    ]
+    for fn, m, r, error in calls:
+        with pytest.raises(error) as info:
+            fn(m, r)
+        assert len(str(info.value)) < 200 and "\n" not in str(info.value)
 
 
 def test_rho_of_r_domain():
