@@ -37,14 +37,12 @@ nonnegative (for eps < 1/2), and that is the direction verified.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-# not called here: perfbench/tracing.py counts solve_ivp calls through
-# this name
-from scipy import integrate  # noqa: F401
 
 from . import _numdiff
 from .errors import BlowDownError, BudgetError, DomainError
@@ -68,6 +66,15 @@ __all__ = [
     "solve_convexifier",
     "growth_exponent",
 ]
+
+
+def __getattr__(name: str):
+    # scipy.integrate loads on first use, as a module attribute that
+    # perfbench/tracing.py wraps; ROADMAP item 7 deletes the name
+    if name != "integrate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = globals()[name] = importlib.import_module(f"scipy.{name}")
+    return module
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,14 @@ one-radius case:
 """
 from __future__ import annotations
 
+import importlib
 import math
+import statistics
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .comparison_ode import Convexifier
 from .errors import DomainError, MaximizationError
@@ -206,7 +206,18 @@ def _monomial_max(f: HoloPoly, rho: np.ndarray) -> np.ndarray:
     return abs(c) * factor * rho ** total
 
 
+def __getattr__(name: str):
+    # scipy.optimize loads on first use (only n = 1 circles are refined),
+    # as a module attribute that perfbench/tracing.py wraps
+    if name != "optimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = globals()[name] = importlib.import_module("scipy.optimize")
+    return module
+
+
 def _refine_circle(fabs: Callable, lo: float, hi: float, best: float) -> float:
+    # a module attribute, not a global: it loads lazily and can be replaced
+    optimize = sys.modules[__name__].optimize
     res = optimize.minimize_scalar(lambda t: -fabs(t), bounds=(lo, hi),
                                    method="bounded",
                                    options={"xatol": 1e-10})
@@ -218,13 +229,43 @@ def _refine_circle(fabs: Callable, lo: float, hi: float, best: float) -> float:
 _DIRECTION_CACHE: dict = {}
 
 
+def _primes(k: int) -> list:
+    """The first k primes."""
+    out: list = []
+    p = 2
+    while len(out) < k:
+        if all(p % q for q in out if q * q <= p):
+            out.append(p)
+        p += 1
+    return out
+
+
+def _halton(d: int, count: int) -> np.ndarray:
+    """Points 1..count of the unscrambled Halton sequence in [0, 1)^d.
+
+    Each column is the radical inverse of the index in one of the first d
+    primes, summed digit by digit from the lowest as scipy's
+    ``qmc.Halton(d, scramble=False)`` does, so the points are the same
+    bits as that sampler's after ``fast_forward(1)``.
+    """
+    out = np.zeros((count, d))
+    for j, base in enumerate(_primes(d)):
+        q = np.arange(1, count + 1)
+        scale = 1.0 / base
+        while q.any():
+            out[:, j] += (q % base) * scale
+            scale /= base
+            q //= base
+    return out
+
+
 def _directions(n: int, count: int) -> np.ndarray:
     """Deterministic quasi-uniform points on the unit sphere of C^n."""
     key = (n, count)
     if key not in _DIRECTION_CACHE:
-        sampler = qmc.Halton(d=2 * n, scramble=False)
-        sampler.fast_forward(1)  # skip the origin point
-        x = ndtri(sampler.random(count))
+        inv_cdf = statistics.NormalDist().inv_cdf
+        x = np.array([[inv_cdf(t) for t in row]
+                      for row in _halton(2 * n, count).tolist()])
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         _DIRECTION_CACHE[key] = x[:, 0::2] + 1j * x[:, 1::2]
     return _DIRECTION_CACHE[key]

@@ -41,14 +41,12 @@ and Delta_0 log lam = 4 (G' + s G''), and circles from the exp map.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-# not called here: perfbench/tracing.py counts quad, brentq and numdiff
-# calls through these names
-from scipy import integrate, optimize  # noqa: F401
 
 from . import _numdiff, _shooting  # noqa: F401
 from .errors import BudgetError, ConjugatePointError, DomainError, ShootingError
@@ -68,6 +66,16 @@ __all__ = [
     "pair_distances",
     "geodesic_circle",
 ]
+
+
+def __getattr__(name: str):
+    # scipy.integrate and scipy.optimize load on first use, as module
+    # attributes that perfbench/tracing.py wraps; ROADMAP item 7 deletes
+    # the names
+    if name not in ("integrate", "optimize"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = globals()[name] = importlib.import_module(f"scipy.{name}")
+    return module
 
 
 @dataclass(frozen=True)
@@ -409,8 +417,12 @@ def _g_panels(lam: Callable, knots: np.ndarray) -> Callable:
     with np.errstate(all="ignore"):
         lam_s = lam(np.sqrt(0.5 * (a + b) + 0.5 * (b - a) * x))
         g = np.log(lam_s / lam_s[:, :1])
-    # c_k = (2 - [k = 0]) / N sum_j g_j T_k(x_j) at first-kind points
-    coef = g @ np.polynomial.chebyshev.chebvander(x, _CHEB - 1) * (2.0 / _CHEB)
+    # c_k = (2 - [k = 0]) / N sum_j g_j T_k(x_j) at first-kind points, on
+    # the panels where lam is finite; the rest stay NaN
+    fit = np.isfinite(g).all(axis=1)
+    coef = np.full((len(g), _CHEB), np.nan)
+    coef[fit] = (g[fit] @ np.polynomial.chebyshev.chebvander(x, _CHEB - 1)
+                 * (2.0 / _CHEB))
     coef[:, 0] *= 0.5
     scale = 2.0 / (b - a)
     d1 = np.polynomial.chebyshev.chebder(coef, 1, axis=1) * scale

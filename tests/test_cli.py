@@ -1,4 +1,5 @@
 """End-to-end tests for the lab command line runner."""
+import importlib
 import json
 import math
 import os
@@ -433,3 +434,33 @@ def test_module_entry_point(tmp_path):
     res = _run_module("suite", "dimension", "--seed", "3")
     assert res.returncode == 2
     assert "--seed" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# import path
+
+def test_cli_import_loads_no_scipy_submodule():
+    # import is the whole cost of a short lab run: the slow scipy modules
+    # load only where a route needs them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = "import sys, growthlab.cli; print(' '.join(sys.modules))"
+    res = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=False)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    slow = {f"scipy.{name}" for name in
+            ("stats", "special", "optimize", "integrate", "interpolate")}
+    assert not slow & loaded
+
+
+@pytest.mark.parametrize("module,name", [
+    ("growth", "optimize"), ("radial_metric", "integrate"),
+    ("radial_metric", "optimize"), ("comparison_ode", "integrate")])
+def test_lazy_scipy_names_resolve(module, name):
+    mod = importlib.import_module(f"growthlab.{module}")
+    assert getattr(mod, name) is importlib.import_module(f"scipy.{name}")
+    with pytest.raises(AttributeError):
+        getattr(mod, "no_such_name")

@@ -1,10 +1,13 @@
 """Max-modulus curves and the growth-side predicates."""
 import math
+import types
 
 import numpy as np
 import pytest
 from scipy import optimize
 from scipy.interpolate import CubicSpline
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from growthlab import (
     RadialProfile,
@@ -13,6 +16,7 @@ from growthlab import (
     closed_form_convexifier,
     curvature_at_origin,
     geodesic_circle,
+    growth,
     model_from_profile,
 )
 from growthlab.errors import DomainError
@@ -523,3 +527,32 @@ def test_cone_validation():
         cone_exponent(1.0, 1)
     with pytest.raises(DomainError):
         separation_eigenvalue(-0.5, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_halton_points_match_scipy(n):
+    # n = 7 reaches the primes past 13
+    sampler = qmc.Halton(d=2 * n, scramble=False)
+    sampler.fast_forward(1)
+    expected = sampler.random(480 * n)
+    got = growth._halton(2 * n, 480 * n)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    x = ndtri(expected)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    assert np.max(np.abs(growth._directions(n, 480 * n)
+                         - (x[:, 0::2] + 1j * x[:, 1::2]))) <= 2e-15
+
+
+def test_circle_refinement_reads_optimize_attribute(monkeypatch):
+    # perfbench/tracing.py counts optimizer starts by replacing the
+    # growth.optimize attribute
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return optimize.minimize_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "optimize",
+                        types.SimpleNamespace(minimize_scalar=counted))
+    growth_curve(CIGAR, HoloPoly(1, {1: 1.0, 3: 0.5}), radii=[0.5, 1.0])
+    assert calls

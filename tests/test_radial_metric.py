@@ -1,5 +1,6 @@
 """Radial model geometry: coordinates, curvature, model Hessian."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,15 @@ def test_tabulated_round_trip_steep_profiles(model, rho_top):
     rho = rho_of_r(model, rs)
     assert np.all(np.isfinite(rho))
     assert np.max(np.abs(distance_from_origin(model, rho) / rs - 1)) <= 1e-12
+
+
+def test_steep_profiles_build_without_warnings():
+    # lam = exp(rho^2) overflows on the last G panels: they are not fitted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model_from_profile(RadialProfile(lam=lambda rho: np.exp(rho * rho),
+                                         rho_max=math.inf, name="exp"))
+        builtin_model("conformal_poly", coeffs=[1.0] + [0.1] * 11)
 
 
 def test_tabulated_rho_of_r_budget(monkeypatch):
