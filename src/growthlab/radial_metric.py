@@ -288,32 +288,98 @@ def model_from_profile(profile: RadialProfile, n: int = 1) -> RadialKahlerModel:
 def load_profile_table(path: str) -> RadialProfile:
     """Profile from a two-column text table with header '# rho lambda'.
 
-    rho must start at 0 and be strictly increasing; lambda must be positive.
-    Interpolation is a cubic spline with even symmetry at rho = 0, and the
-    spline's own derivatives serve as d_lam and d2_lam.
+    Every row holds two finite numbers ('#' starts a comment); rho must
+    start at 0 and be strictly increasing, and lambda must be positive.
+    Interpolation is the cubic spline through the rows with zero slope at
+    rho = 0 (even symmetry) and the not-a-knot condition at the last row,
+    evaluated in numpy; its own derivatives serve as d_lam and d2_lam, and
+    queries outside [0, rho_max] take the end values.
     """
-    from scipy.interpolate import CubicSpline
-
-    with open(path) as fh:
+    rows = []
+    # undecodable bytes become U+FFFD, which fails as a number on its row
+    with open(path, errors="replace") as fh:
         header = fh.readline().strip()
-    cols = header.lstrip("#").split()
-    if not header.startswith("#") or cols[:2] != ["rho", "lambda"]:
-        raise DomainError(f"profile table {path!r} must start with '# rho lambda'")
-    data = np.loadtxt(path, comments="#")
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
+        cols = header.lstrip("#").split()
+        if not header.startswith("#") or cols[:2] != ["rho", "lambda"]:
+            raise DomainError(
+                f"profile table {path!r} must start with '# rho lambda'")
+        for line_no, line in enumerate(fh, 2):
+            cells = line.split("#", 1)[0].split()
+            if not cells:
+                continue
+            try:
+                row = [float(cell) for cell in cells]
+            except ValueError:
+                row = []
+            if len(row) != 2 or not all(map(math.isfinite, row)):
+                raise DomainError(
+                    f"profile table {path!r} line {line_no}: "
+                    f"{line.strip()!r} is not two finite numbers")
+            rows.append(row)
+    if len(rows) < 4:
         raise DomainError("profile table needs at least 4 (rho, lambda) rows")
-    rho, lam = data[:, 0], data[:, 1]
+    # contiguous columns: searchsorted copies a strided array on every call
+    rho, lam = np.ascontiguousarray(np.array(rows).T)
     if rho[0] != 0.0 or np.any(np.diff(rho) <= 0):
         raise DomainError("table rho column must be strictly increasing from 0")
     if np.any(lam <= 0):
         raise DomainError("table lambda column must be positive")
-    spline = CubicSpline(rho, lam, bc_type=((1, 0.0), "not-a-knot"))
+    coef = _even_spline(rho, lam)
+    return RadialProfile(
+        lam=_horner(rho, coef), rho_max=float(rho[-1]), name="table",
+        d_lam=_horner(rho, coef[:3] * [[3.0], [2.0], [1.0]]),
+        d2_lam=_horner(rho, coef[:2] * [[6.0], [2.0]]))
 
-    def clipped(nu):
-        return lambda x: spline(np.clip(x, 0.0, rho[-1]), nu)
 
-    return RadialProfile(lam=clipped(0), rho_max=float(rho[-1]), name="table",
-                         d_lam=clipped(1), d2_lam=clipped(2))
+def _even_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Panel coefficients, highest power of x - x_j first, shape (4, N - 1),
+    of the cubic spline through (x, y) with zero slope at x_0 and not-a-knot
+    at x_{N-1} (scipy's CubicSpline with bc_type ((1, 0.0), "not-a-knot")).
+
+    The knot slopes s solve a tridiagonal system by one forward and one back
+    sweep.  With panel widths dx and secants m, inner rows match second
+    derivatives, dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1} =
+    3 (dx_i m_{i-1} + dx_{i-1} m_i); the first row is s_0 = 0, and the last
+    is not-a-knot with s_{N-3} eliminated by the row before it.
+    """
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    d = x[-1] - x[-3]
+    sub = np.concatenate([[0.0], dx[1:], [d]]).tolist()
+    diag = np.concatenate([[1.0], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]]).tolist()
+    sup = np.concatenate([[0.0], dx[:-1]]).tolist()
+    rhs = np.concatenate([
+        [0.0], 3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]),
+        [(dx[-1] ** 2 * m[-2] + (2.0 * d + dx[-1]) * dx[-2] * m[-1]) / d],
+    ]).tolist()
+    for i in range(1, len(diag)):
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = rhs    # back substitution turns rhs into the slopes
+    s[-1] /= diag[-1]
+    for i in range(len(s) - 2, -1, -1):
+        s[i] = (s[i] - sup[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2.0 * m) / dx
+    return np.array([t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+
+def _horner(x: np.ndarray, coef: np.ndarray) -> Callable:
+    """q -> the piecewise polynomial with panel coefficients coef (highest
+    power of q - x_j first) at q clipped into [x_0, x_{N-1}]."""
+    inner, lo, hi, rows = x[1:-1], x[0], x[-1], tuple(coef)
+
+    def at(q):
+        q = np.minimum(np.maximum(q, lo), hi)
+        j = np.searchsorted(inner, q, "right")
+        t = q - x[j]
+        p = rows[0][j]
+        for row in rows[1:]:
+            p = p * t + row[j]
+        return p
+
+    return at
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,19 @@ def test_evaluation_budget_exit_code(monkeypatch, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row", [
+    b"nan 0.5", b"0.5 nan", b"inf 0.5", b"0.5 -inf", b"0.5 abc", b"0.5",
+    b"0.5 1 2", b"\xff 0.5"])
+def test_bad_table_rows_exit_two(tmp_path, capsys, bad_row):
+    # the first bad row is named by its line in the file
+    table = tmp_path / "bad.txt"
+    table.write_bytes(b"# rho lambda\n0 1\n0.25 0.97\n" + bad_row
+                      + b"\n1 0.7\n2 0.45\n")
+    assert main(["necessity", "--model", "table", "--table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and err.count("\n") == 1
+
+
 def test_out_of_range_radii_make_one_error_line(capsys):
     # 464 radii past the table's r_max: one short stderr line, exit 2
     table = ROOT / "perfbench" / "cigar_61.txt"
@@ -440,20 +454,37 @@ def test_module_entry_point(tmp_path):
 # import path
 
 def test_cli_import_loads_no_scipy_submodule():
-    # import is the whole cost of a short lab run: the slow scipy modules
-    # load only where a route needs them
+    # import is the whole cost of a short lab run: scipy loads only where a
+    # route needs it, and the table route runs on numpy alone
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = "import sys, growthlab.cli; print(' '.join(sys.modules))"
-    res = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                         capture_output=True, text=True, timeout=120,
-                         check=False)
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import growthlab.cli
+        from growthlab import (distance_from_origin, load_profile_table,
+                               model_from_profile, model_hessian,
+                               radial_curvature, rho_of_r)
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        print(scipy_modules())
+        model = model_from_profile(load_profile_table(sys.argv[1]))
+        r = np.linspace(0.1, 1.5, 9)
+        rho_of_r(model, r)
+        distance_from_origin(model, r)
+        radial_curvature(model, r)
+        model_hessian(model, r)
+        print(scipy_modules())
+    """)
+    res = subprocess.run([sys.executable, "-c", code,
+                          str(ROOT / "perfbench" / "cigar_61.txt")],
+                         cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=120, check=False)
     assert res.returncode == 0, res.stderr
-    loaded = set(res.stdout.split())
-    slow = {f"scipy.{name}" for name in
-            ("stats", "special", "optimize", "integrate", "interpolate")}
-    assert not slow & loaded
+    assert res.stdout.splitlines() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("module,name", [

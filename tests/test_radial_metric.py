@@ -1,5 +1,6 @@
 """Radial model geometry: coordinates, curvature, model Hessian."""
 import math
+import time
 import warnings
 
 import numpy as np
@@ -376,6 +377,52 @@ def test_profile_table_validation(tmp_path):
     bad3.write_text("# rho lambda\n0.5 1\n1 1\n2 1\n3 1\n")
     with pytest.raises(DomainError):
         load_profile_table(str(bad3))
+
+
+def _write_table(path, rho, lam=None):
+    if lam is None:
+        lam = 1.0 / np.sqrt(1.0 + rho ** 2)
+    np.savetxt(path, np.column_stack([rho, lam]), header="rho lambda")
+    return str(path)
+
+
+def _spline_tables(tmp_path):
+    yield _write_table(tmp_path / "cigar.txt", np.linspace(0.0, 6.0, 61))
+    rng = np.random.default_rng(7)
+    for k, n in enumerate((9, 40, 300)):
+        rho = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))])
+        yield _write_table(tmp_path / f"random{k}.txt", rho,
+                           rng.uniform(0.5, 2.0, n))
+    yield _write_table(tmp_path / "four.txt", np.array([0.0, 0.3, 1.1, 1.5]),
+                       np.array([1.0, 0.9, 0.5, 0.45]))
+
+
+def test_profile_table_spline_matches_scipy(tmp_path):
+    # zero slope at rho = 0, not-a-knot at the last row, end values outside
+    from scipy.interpolate import CubicSpline
+    for path in _spline_tables(tmp_path):
+        rho, lam = np.loadtxt(path).T
+        want = CubicSpline(rho, lam, bc_type=((1, 0.0), "not-a-knot"))
+        prof = load_profile_table(path)
+        q = np.linspace(-1.0, rho[-1] + 1.0, 20001)
+        inside = np.clip(q, 0.0, rho[-1])
+        for nu, got in enumerate((prof.lam, prof.d_lam, prof.d2_lam)):
+            ref = want(inside, nu)
+            err = np.max(np.abs(got(q) - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), (path, nu, err)
+        assert prof.lam(-0.5) == prof.lam(0.0) == lam[0]
+        assert prof.lam(rho[-1] + 0.5) == prof.lam(rho[-1])
+        assert prof.d_lam(0.0) == 0.0
+
+
+def test_profile_table_builds_in_linear_time(tmp_path):
+    # the slope system is tridiagonal: a dense 100,000-row solve would need
+    # 80 GB
+    path = _write_table(tmp_path / "big.txt", np.linspace(0.0, 50.0, 100_000))
+    t0 = time.perf_counter()
+    m = model_from_profile(load_profile_table(path))
+    assert time.perf_counter() - t0 < 2.0
+    assert abs(distance_from_origin(m, 1.0) - math.asinh(1.0)) < 1e-9
 
 
 def test_complete_disk_profile_has_infinite_radius():
