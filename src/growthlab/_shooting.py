@@ -304,7 +304,6 @@ def exp_circle_points(lam, logd, rho0: float, lengths,
     z0 = np.full(n, rho0, dtype=complex)
     v0 = np.exp(1j * phis) / lam0
     y0 = np.stack([z0, v0])
-    lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
     ys, ok = integrate_batch(_cartesian_rhs(logd), y0, lengths)
     if not np.all(ok):
         raise ShootingError("exponential map integration failed")
@@ -314,35 +313,38 @@ def exp_circle_points(lam, logd, rho0: float, lengths,
 def circle_interpolator(lam, logd, center: complex, r) -> Callable:
     """phi -> z(phi) on the geodesic circles of radius r about center.
 
-    logd is (log lam)'(rho)/rho, with its even limit at rho = 0.
-
-    r is a radius or a 1-d array of them; z(phi) has shape
-    r.shape + phi.shape.  The chart is rotated to put the center on the
-    positive axis, where lam depending on |z| only makes each circle
-    symmetric under conjugation, z(-phi) = conj z(phi).  So only the
-    _N_BASE // 2 + 1 launch angles in [0, pi] are integrated, once,
-    through every radius in increasing order; the rest are mirrored.
-    Periodic cubic splines in phi interpolate the _N_BASE points of each
-    circle.  phi = 0 launches away from the origin.
+    logd is (log lam)'(rho)/rho, with its even limit at rho = 0; r is a
+    radius or a 1-d array of them, and z(phi) has shape r.shape +
+    phi.shape.  With the center rotated onto the positive axis each
+    circle is symmetric under conjugation (lam depends on |z| only), so
+    the _N_BASE // 2 + 1 launch angles in [0, pi] are integrated once
+    through every radius and mirrored.  A circle is the trigonometric
+    interpolant of its _N_BASE points: by the symmetry its FFT is real,
+    Re z a cosine and Im z a sine series, summed over powers of e^{i phi}.
+    phi = 0 launches away from the origin.
     """
-    from scipy.interpolate import CubicSpline
-
     a = abs(center)
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     order = np.argsort(radii)
     half = _N_BASE // 2
     phis = np.linspace(0.0, 2.0 * math.pi, _N_BASE, endpoint=False)
-    pts = np.empty((radii.size, _N_BASE + 1), dtype=complex)
+    pts = np.empty((radii.size, _N_BASE), dtype=complex)
     pts[order, :half + 1] = exp_circle_points(lam, logd, a, radii[order],
                                               phis[:half + 1])
-    pts[:, half + 1:_N_BASE] = np.conj(pts[:, _N_BASE - half - 1:0:-1])
-    pts[:, _N_BASE] = pts[:, 0]
-    spline = CubicSpline(np.append(phis, 2.0 * math.pi), pts * (center / a),
-                         axis=1, bc_type="periodic")
+    pts[:, half + 1:] = np.conj(pts[:, half - 1:0:-1])
+    # c_k e^{ik phi} + c_-k e^{-ik phi}, k < half, and c_half cos(half phi)
+    c = np.fft.fft(pts, axis=1).real / _N_BASE
+    pos, neg = c[:, 1:half], c[:, :half:-1]
+    cos_coef = np.column_stack([c[:, 0], pos + neg, c[:, half]])
+    sin_coef = pos - neg
     shape = np.shape(r)
 
     def at(phi):
-        return spline(np.mod(phi, 2.0 * math.pi)).reshape(
-            shape + np.shape(phi))
+        w = np.exp(1j * np.ravel(phi))
+        powers = np.concatenate([np.ones((1, w.size)),
+                                 np.broadcast_to(w, (half, w.size))])
+        np.cumprod(powers, axis=0, out=powers)
+        z = cos_coef @ powers.real + 1j * (sin_coef @ powers.imag[1:half])
+        return (z * (center / a)).reshape(shape + np.shape(phi))
 
     return at

@@ -60,7 +60,7 @@ from .growth import (
     homogeneity_check,
     monotonicity_check,
     necessity_deficit,
-    order_at_infinity,
+    probe_order,
     separation_eigenvalue,
     three_circle_check,
 )
@@ -391,9 +391,7 @@ def _cmd_monotonicity(args):
     elif args.direction == "nondecreasing":
         d = f.vanishing_order_at_basepoint
     else:
-        probe = growth_curve(model, f,
-                             radii=np.geomspace(100.0, 1e4, 24), refine=False)
-        d = order_at_infinity(probe)
+        d = probe_order(model, f)
         if not math.isfinite(d):
             raise DomainError(
                 "order at infinity diverges; pass --d explicitly")
@@ -756,7 +754,7 @@ def build_parser():
     p.add_argument("--spacing", choices=["log", "linear"], default="log")
     p.add_argument("--h", default="auto")
     p.add_argument("--d", type=float, default=None,
-                   help="growth order; default from order_at_infinity")
+                   help="growth order; default from probe_order")
     p.add_argument("--direction", choices=["nonincreasing", "nondecreasing"],
                    default="nonincreasing")
     p.add_argument("--tol", type=float, default=1e-7)

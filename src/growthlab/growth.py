@@ -16,9 +16,10 @@ evaluates all of its radii in one pass, and max_modulus is its
 one-radius case:
 
   * monomials centered at the origin have a closed form;
-  * n = 1: |f| is sampled on each circle and the best sample refined by a
-    bounded scalar search.  Off-center circles (n = 1 only) are closed
-    forms or, without one, one exp-map integration through every radius;
+  * n = 1: |f| is sampled on each circle and the best samples refined
+    together by parabolic interpolation.  Off-center circles (n = 1 only)
+    are closed forms or, without one, one exp-map integration through
+    every radius;
   * n >= 2: |f| is sampled at fixed Halton directions on each sphere, and
     the best 32 per sphere climb together, over all radii at once, by a
     saddle-free Riemannian Newton ascent of |f|^2 to rounding level.  A
@@ -30,7 +31,6 @@ from __future__ import annotations
 import importlib
 import math
 import statistics
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -50,6 +50,7 @@ __all__ = [
     "three_circle_check",
     "monotonicity_check",
     "order_at_infinity",
+    "probe_order",
     "necessity_deficit",
     "homogeneity_check",
     "cone_exponent",
@@ -207,23 +208,12 @@ def _monomial_max(f: HoloPoly, rho: np.ndarray) -> np.ndarray:
 
 
 def __getattr__(name: str):
-    # scipy.optimize loads on first use (only n = 1 circles are refined),
-    # as a module attribute that perfbench/tracing.py wraps
+    # growth uses no scipy; perfbench/tracing.py still binds
+    # growth.optimize, so the name resolves to scipy.optimize on first use
     if name != "optimize":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = globals()[name] = importlib.import_module("scipy.optimize")
     return module
-
-
-def _refine_circle(fabs: Callable, lo: float, hi: float, best: float) -> float:
-    # a module attribute, not a global: it loads lazily and can be replaced
-    optimize = sys.modules[__name__].optimize
-    res = optimize.minimize_scalar(lambda t: -fabs(t), bounds=(lo, hi),
-                                   method="bounded",
-                                   options={"xatol": 1e-10})
-    if res.success:
-        return max(best, -float(res.fun))
-    return best
 
 
 _DIRECTION_CACHE: dict = {}
@@ -275,6 +265,9 @@ _STARTS = 32         # best sampled directions polished per sphere
 _NEWTON_STEPS = 100  # Newton iterations per member, at most
 _HALVINGS = 50       # step halvings per Newton iteration, at most
 _RAY_SAMPLES = 24    # sample rays of homogeneity_check
+_PARABOLA_STEPS = 40  # refinement steps per circle, at most
+_GAIN_TOL = 1e-14     # relative gain below which a parabola is converged
+_PROBE = 1e-9         # shortest refinement step, rad
 
 
 def _jet(f: HoloPoly) -> Callable:
@@ -403,6 +396,41 @@ def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int,
     return best
 
 
+def _circle_peaks(f: HoloPoly, circle: Callable, phis: np.ndarray,
+                  vals: np.ndarray) -> np.ndarray:
+    """Refine the best of the samples vals = |f(circle(phis))|, all rows,
+    by successive parabolic interpolation on true circle values from the
+    bracket of the best sample and its neighbours.  A circle stops after
+    two parabolas in a row that gain at most _GAIN_TOL of its best value,
+    once its bracket is at most 4 _PROBE wide, or after _PARABOLA_STEPS
+    steps, and keeps the best value seen."""
+    m, count = vals.shape
+    i, nbr = np.argmax(vals, axis=1), np.array([-1, 0, 1])[:, None]
+    x, y = phis[i] + phis[1] * nbr, vals[np.arange(m), (i + nbr) % count]
+    quiet, live = np.zeros(m), np.nonzero(np.isfinite(y[1]))[0]
+    for _ in range(_PARABOLA_STEPS):
+        (a, b, c), (fa, fb, fc) = x[:, live], y[:, live]
+        lft, rgt, da, dc = b - a, c - b, fb - fa, fb - fc
+        # the parabola peaks at b + s, num s / (lft rgt (lft + rgt)) above
+        # fb; s = 0 where the three values are level
+        num, den = 0.5 * (rgt * rgt * da - lft * lft * dc), lft * dc + rgt * da
+        s = np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
+        v = b + np.where(abs(s) >= _PROBE, s, np.copysign(_PROBE, rgt - lft))
+        cols = np.arange(live.size)
+        fv = np.abs(f.eval(circle(v)[live, cols]))
+        left = v < b
+        pts = np.where(left, (a, v, b, c), (a, b, v, c))
+        fpts = np.where(left, (fa, fv, fb, fc), (fa, fb, fv, fc))
+        k = 1 + (left != (fv >= fb)) + nbr
+        x[:, live], y[:, live] = pts[k, cols], fpts[k, cols]
+        gained = num * s > _GAIN_TOL * fb * lft * rgt * (lft + rgt)
+        quiet[live] = np.where(gained, 0, quiet[live] + 1)
+        live = live[(quiet[live] < 2) & (np.ptp(x[:, live], 0) > 4 * _PROBE)]
+        if live.size == 0:
+            break
+    return y[1]
+
+
 def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
                 rs: np.ndarray, refine: bool) -> np.ndarray:
     """max |f| over the geodesic balls of radii rs (positive) about center."""
@@ -410,29 +438,15 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
         raise DomainError("polynomial and model dimension differ")
     if center != 0 and f.n != 1:
         raise DomainError("off-center balls are supported for n=1 only")
-    if center == 0:
-        if np.any(rs >= model.r_max):
-            raise DomainError(f"r must stay below r_max = {model.r_max:g}")
+    if center == 0 and (len(f.coeffs) == 1 or f.n > 1):
         rho = np.asarray(rho_of_r(model, rs), dtype=float)
-        if len(f.coeffs) == 1:
-            return _monomial_max(f, rho)
-        if f.n > 1:
-            return _sphere_max(f, rho, 480 * f.n, refine)
-        circle = lambda phi: np.multiply.outer(rho, np.exp(1j * phi))
-    else:
-        circle = geodesic_circle(model, center, rs)
-
+        return (_monomial_max(f, rho) if len(f.coeffs) == 1
+                else _sphere_max(f, rho, 480 * f.n, refine))
+    circle = geodesic_circle(model, center, rs)
     count = max(720, 16 * max(f.degree, 1))
     phis = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
     vals = np.abs(f.eval(circle(phis)))
-    peak = np.argmax(vals, axis=1)
-    out = vals[np.arange(rs.size), peak]
-    if refine:
-        step = 2.0 * math.pi / count
-        for k, i in enumerate(peak):
-            fabs = lambda t, k=k: float(np.abs(f.eval(circle(t)[k])))
-            out[k] = _refine_circle(fabs, phis[i] - step, phis[i] + step,
-                                    out[k])
+    out = _circle_peaks(f, circle, phis, vals) if refine else vals.max(axis=1)
     if not np.all(np.isfinite(out)) or np.any(out < 0):
         raise MaximizationError("maximum-modulus search failed")
     return out
@@ -445,17 +459,13 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center=None,
     The one-radius case of growth_curve.  Single monomials centered at
     the origin use the closed form.  Otherwise |f| is sampled on the
     geodesic sphere: on a circle (n = 1) at max(720, 16 deg) launch
-    angles, the best one refined by a bounded scalar search; on the
-    sphere of C^n (n >= 2) at 480 n fixed Halton directions, the best 32
-    climbed by a Riemannian Newton ascent to rounding level.
+    angles, the best one refined by parabolic interpolation to rounding
+    level; on the sphere of C^n (n >= 2) at 480 n fixed Halton
+    directions, the best 32 climbed by a Riemannian Newton ascent.
     """
     if r is None:
         raise DomainError("max_modulus needs a radius")
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    center = f.basepoint if center is None else complex(center)
-    return float(_max_moduli(model, f, center, np.array([float(r)]),
-                             True)[0])
+    return float(growth_curve(model, f, center, [r]).values[0])
 
 
 def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
@@ -464,9 +474,10 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
     """max |f| over the geodesic balls about center, at increasing radii.
 
     All radii are evaluated together by the method of max_modulus: the
-    sphere ascents of every radius run as one batch (and climb once more
-    from each other radius's best direction), and off-center balls take
-    closed-form circles or share one exp-map integration of all radii.
+    circle refinements and sphere ascents of all radii run as one batch
+    (spheres climb again from each other radius's best direction), and
+    off-center balls take closed-form circles or share one exp-map
+    integration.
     refine=False returns the best samples: with a fixed direction set the
     bias is nearly scale-independent, good enough for slope fits.
     """
@@ -569,6 +580,18 @@ def order_at_infinity(curve: GrowthCurve) -> float:
     return s_outer
 
 
+def probe_order(model: RadialKahlerModel, f: HoloPoly,
+                top: float = 200.0) -> float:
+    """order_at_infinity on 24 radii in (top/100, top), where exponential
+    growth reads as infinite before it overflows, then, if finite, in
+    (100, 1e4), far enough out that lower-order terms stop biasing it."""
+    def probe(lo, hi):
+        return order_at_infinity(growth_curve(
+            model, f, 0, np.geomspace(lo, hi, 24), refine=False))
+    d = probe(top / 100.0, top)
+    return probe(100.0, 1e4) if math.isfinite(d) and top < 1e4 else d
+
+
 def necessity_deficit(model: RadialKahlerModel, r_grid) -> float:
     """Fit c2 in M_z(r)/(c r) = 1 + c2 r^2 + O(r^4) near the origin.
 
@@ -607,42 +630,23 @@ def homogeneity_check(model: RadialKahlerModel, f: HoloPoly, K: float,
     if r <= 0:
         raise DomainError("need r > 0")
     if d is None:
-        # moderate probe first (exponential growth overflows far out),
-        # then push the window out so lower-order terms stop biasing it
-        top = max(200.0, 1.2 * K * r)
-        probe = growth_curve(model, f, 0,
-                             np.geomspace(top / 100.0, top, 24), refine=False)
-        d = order_at_infinity(probe)
-        if math.isfinite(d) and top < 1e4:
-            probe = growth_curve(model, f, 0, np.geomspace(100.0, 1e4, 24),
-                                 refine=False)
-            d = order_at_infinity(probe)
+        d = probe_order(model, f, max(200.0, 1.2 * K * r))
     if math.isinf(d):
         raise DomainError("order at infinity is infinite; f is not in O_d")
     if d <= 0:
         raise DomainError("order at infinity must be positive")
 
-    if f.n == 1:
-        dirs = np.exp(2j * math.pi * np.arange(_RAY_SAMPLES) / _RAY_SAMPLES)
-    else:
-        dirs = _directions(f.n, _RAY_SAMPLES)
-    r_x = np.geomspace(r, K * r, 8)
-    frac = np.linspace(0.0, 1.0, 10)
-    denom = max_modulus(model, f, 0, r) * r ** d
-    sup = 0.0
-    for rx in r_x:
-        rho_x = float(rho_of_r(model, rx))
-        r_y = frac * rx
-        rho_y = np.concatenate([[0.0], np.asarray(
-            rho_of_r(model, r_y[1:]), dtype=float)])
-        for dir_ in dirs:
-            zx = rho_x * dir_
-            zy = rho_y[:, np.newaxis] * dir_ if f.n > 1 else rho_y * dir_
-            fx = f.eval(zx[np.newaxis] if f.n > 1 else zx).item()
-            fy = f.eval(zy)
-            gap = np.max(np.abs(fy * rx ** d - fx * r_y ** d))
-            sup = max(sup, float(gap))
-    return sup / denom
+    dirs = (np.exp(2j * math.pi * np.arange(_RAY_SAMPLES) / _RAY_SAMPLES)
+            if f.n == 1 else _directions(f.n, _RAY_SAMPLES))
+    # one row per shell radius of x: y runs along it, and x is its end
+    r_y = np.multiply.outer(np.geomspace(r, K * r, 8),
+                            np.linspace(0.0, 1.0, 10))
+    fy = f.eval(np.multiply.outer(rho_of_r(model, r_y), dirs))
+    ry = r_y[..., None] ** d
+    gap = np.abs(fy * ry[:, -1:] - fy[:, -1:] * ry)
+    # a ray whose products overflow (inf - inf) is skipped
+    sup = np.fmax.reduce(gap.max(axis=1), axis=None, initial=0.0)
+    return float(sup) / (max_modulus(model, f, 0, r) * r ** d)
 
 
 # ---------------------------------------------------------------------------

@@ -688,7 +688,7 @@ def geodesic_circle(model: RadialKahlerModel, center, r) -> Callable:
     circle.  Circles about the origin are exact; the others are the
     model's f_circle: exact on the built-in closed-form models, and on the
     tabulated backend 1024 launch angles integrated through every radius
-    at once and interpolated by periodic cubic splines.
+    at once and interpolated trigonometrically.
     """
     center = complex(center)
     rs = np.asarray(r, dtype=float)

@@ -1,4 +1,5 @@
 """End-to-end tests for the lab command line runner."""
+import ast
 import importlib
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,8 @@ from scipy.integrate import quad
 
 from growthlab import (builtin_model, comparison_ode, distance_from_origin,
                        load_profile_table, model_from_profile, model_hessian)
-from growthlab.cli import (main, parse_complex, parse_function, parse_radii,
-                           resolve_h)
+from growthlab.cli import (SUITES, main, parse_complex, parse_function,
+                           parse_radii, resolve_h)
 from growthlab.errors import DomainError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -288,6 +290,18 @@ def test_out_of_range_radii_make_one_error_line(capsys):
     assert err.count("\n") == 1 and len(err) < 200
 
 
+def test_monotonicity_exponential_growth_asks_for_d(capsys):
+    # the order probe reads exponential growth on a moderate window before
+    # the outer one overflows: one stderr line, exit 2, no warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["monotonicity", "--model", "cigar", "--f", "z^2+z",
+                     "--radii", "0.2:8:12"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--d" in err
+
+
 def test_curvature_table(tmp_path):
     path = tmp_path / "curv.csv"
     code = main(["curvature", "--model", "cigar", "--radii", "0.1:3:12",
@@ -485,6 +499,74 @@ def test_cli_import_loads_no_scipy_submodule():
                          timeout=120, check=False)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_lab_commands_load_no_scipy(tmp_path):
+    # every lab command and suite runs on numpy alone, the n = 1 circle
+    # refinement and the tabulated exp-map circles included
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    table = str(ROOT / "perfbench" / "cigar_61.txt")
+    runs = [
+        ["curvature", "--model", "cigar", "--radii", "0.1:3:12"],
+        ["ode", "--g", "constant", "--c", "1", "--r-end", "5"],
+        ["three-circle", "--model", "flat", "--f", "z^3+2z",
+         "--center=-0.5+0.2i", "--radii", "0.3:1.4:9"],
+        ["three-circle", "--model", "cigar", "--f", "z^3+2z",
+         "--radii", "0.3:1.4:9"],
+        ["three-circle", "--model", "table", "--table", table,
+         "--f", "z+z^3", "--center=0.3+0.1i", "--radii", "0.2:1.2:5",
+         "--h", "auto"],
+        ["monotonicity", "--model", "flat", "--f", "z^2+z",
+         "--radii", "0.5:20:12"],
+        ["necessity", "--model", "table", "--table", table],
+        ["homogeneity", "--model", "flat", "--f", "z^2+z",
+         "--radii", "100,1000"],
+        ["dimension", "--regime", "power-decay", "--A", "0.05",
+         "--eps", "0.49", "--d", "2", "--n", "2"],
+    ] + [["suite", name] for name in SUITES]
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from growthlab.cli import main
+
+        codes = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+        print(codes)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, timeout=120, check=False)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [str([0] * len(runs)), "[]"]
+
+
+def test_no_scipy_import_in_library():
+    # scipy is a test dependency: the library may name it only inside the
+    # module __getattr__ functions that resolve the tracer-bound names
+    found = []
+    for path in sorted((ROOT / "src" / "growthlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for top in tree.body
+                   if isinstance(top, ast.FunctionDef)
+                   and top.name == "__getattr__" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                                str):
+                names = [node.value]
+            else:
+                continue
+            if (id(node) not in allowed
+                    and any(n.split(".")[0] == "scipy" for n in names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 @pytest.mark.parametrize("module,name", [

@@ -431,7 +431,7 @@ def test_cigar_circle_matches_integrated():
     for c in (0.9 + 0.3j, -0.4 + 1.1j):
         z = geodesic_circle(cigar, c, rs)(phis)
         ref = geodesic_circle(bare, c, rs)(phis)
-        assert np.max(np.abs(z - ref) / np.abs(ref)) <= 1e-8
+        assert np.max(np.abs(z - ref) / np.abs(ref)) <= 5e-10
 
 
 def test_tabulated_circle_calls_interpolator_once(monkeypatch):

@@ -1,6 +1,5 @@
 """Max-modulus curves and the growth-side predicates."""
 import math
-import types
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from growthlab import (
     builtin_model,
     closed_form_convexifier,
     curvature_at_origin,
+    distance_from_origin,
     geodesic_circle,
     growth,
     model_from_profile,
@@ -369,6 +369,80 @@ def test_off_center_curve_integrates_once(monkeypatch):
     assert np.allclose(curve.values, closed.values, rtol=1e-8, atol=0.0)
 
 
+def _scalar_search_max(model, f, center, r):
+    """max |f| on one circle: the curve's samples, then a bounded scalar
+    search (xatol 1e-12) between the best sample's neighbours."""
+    circle = geodesic_circle(model, center, r)
+    count = max(720, 16 * max(f.degree, 1))
+    phis = np.linspace(0.0, 2 * math.pi, count, endpoint=False)
+    vals = np.abs(f.eval(circle(phis)))
+    i = int(np.argmax(vals))
+    res = optimize.minimize_scalar(
+        lambda t: -abs(f.eval(circle(t))), bounds=(phis[i] - phis[1],
+                                                    phis[i] + phis[1]),
+        method="bounded", options={"xatol": 1e-12})
+    return max(float(vals[i]), -float(res.fun))
+
+
+def _circle_cases(model, rng):
+    """(center, radii) pairs: centered, off-center, and near the chart
+    edge (hyperbolic circles about |p| = 0.97 out to r = 5, sphere
+    circles out to 0.999 (pi - r_p))."""
+    out = []
+    for center in (0j, complex(rng.normal(), rng.normal())):
+        if model is HYPER:
+            center *= 0.97 / abs(center) if center else 1.0
+            top = 5.0
+        elif model is SPHERE:
+            top = 0.999 * (math.pi - distance_from_origin(model, abs(center)))
+        else:
+            top = 4.0
+        out.append((center, np.sort(rng.uniform(0.05, top, 5))))
+        out.append((center, np.array([0.5, 0.9, 0.99, 1.0]) * top))
+    return out
+
+
+@pytest.mark.parametrize("model", [FLAT, CIGAR, HYPER, SPHERE],
+                         ids=["flat", "cigar", "hyperbolic", "sphere"])
+def test_circle_maxima_match_scalar_search(model):
+    # the batched refinement against one bounded scalar search per radius
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        for center, rs in _circle_cases(model, rng):
+            f = rand_poly(rng, 1, max_deg=7)
+            got = growth_curve(model, f, center, rs).values
+            ref = [_scalar_search_max(model, f, center, r) for r in rs]
+            assert np.max(np.abs(got / ref - 1.0)) <= 1e-12, (center, rs)
+
+
+def test_circle_refinement_work_is_quadratic(monkeypatch):
+    # a curve of n radii asks its circle map for n count sample points,
+    # then at most C n^2 while it refines: every step evaluates each
+    # circle at each angle still moving, and few steps are needed
+    asked = []
+    make_circle = growth.geodesic_circle
+
+    def counted(*args):
+        circle = make_circle(*args)
+
+        def at(phi):
+            z = circle(phi)
+            asked.append(z.size)
+            return z
+        return at
+
+    monkeypatch.setattr(growth, "geodesic_circle", counted)
+    rng = np.random.default_rng(43)
+    for model in (FLAT, CIGAR, HYPER, SPHERE):
+        for center, rs in _circle_cases(model, rng):
+            for n in (1, 5, 40):
+                f = rand_poly(rng, 1)
+                asked.clear()
+                growth_curve(model, f, center, np.linspace(rs[0], rs[-1], n))
+                count = max(720, 16 * max(f.degree, 1))
+                assert sum(asked) <= n * count + 16 * n * n
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 
@@ -541,18 +615,3 @@ def test_halton_points_match_scipy(n):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     assert np.max(np.abs(growth._directions(n, 480 * n)
                          - (x[:, 0::2] + 1j * x[:, 1::2]))) <= 2e-15
-
-
-def test_circle_refinement_reads_optimize_attribute(monkeypatch):
-    # perfbench/tracing.py counts optimizer starts by replacing the
-    # growth.optimize attribute
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return optimize.minimize_scalar(*args, **kwargs)
-
-    monkeypatch.setattr(growth, "optimize",
-                        types.SimpleNamespace(minimize_scalar=counted))
-    growth_curve(CIGAR, HoloPoly(1, {1: 1.0, 3: 0.5}), radii=[0.5, 1.0])
-    assert calls
