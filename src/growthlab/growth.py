@@ -28,6 +28,7 @@ one-radius case:
 """
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 import statistics
@@ -143,8 +144,7 @@ class HoloPoly:
         powers = np.cumprod(powers, axis=-1)
         return powers[..., np.arange(self.n), exponents].prod(-1)
 
-    def __call__(self, z):
-        return self.eval(z)
+    __call__ = eval
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +200,7 @@ def _monomial_max(f: HoloPoly, rho: np.ndarray) -> np.ndarray:
     total = sum(alpha)
     # max of prod |z_i|^{a_i} over the sphere |z| = rho sits at
     # |z_i|^2 = (a_i/|alpha|) rho^2
-    factor = 1.0
-    for a in alpha:
-        if a:
-            factor *= (a / total) ** (a / 2.0)
+    factor = math.prod((a / total) ** (a / 2.0) for a in alpha if a)
     return abs(c) * factor * rho ** total
 
 
@@ -214,9 +211,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = globals()[name] = importlib.import_module("scipy.optimize")
     return module
-
-
-_DIRECTION_CACHE: dict = {}
 
 
 def _primes(k: int) -> list:
@@ -249,16 +243,14 @@ def _halton(d: int, count: int) -> np.ndarray:
     return out
 
 
+@functools.cache
 def _directions(n: int, count: int) -> np.ndarray:
     """Deterministic quasi-uniform points on the unit sphere of C^n."""
-    key = (n, count)
-    if key not in _DIRECTION_CACHE:
-        inv_cdf = statistics.NormalDist().inv_cdf
-        x = np.array([[inv_cdf(t) for t in row]
-                      for row in _halton(2 * n, count).tolist()])
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        _DIRECTION_CACHE[key] = x[:, 0::2] + 1j * x[:, 1::2]
-    return _DIRECTION_CACHE[key]
+    inv_cdf = statistics.NormalDist().inv_cdf
+    x = np.array([[inv_cdf(t) for t in row]
+                  for row in _halton(2 * n, count).tolist()])
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x[:, 0::2] + 1j * x[:, 1::2]
 
 
 _STARTS = 32         # best sampled directions polished per sphere
@@ -582,14 +574,21 @@ def order_at_infinity(curve: GrowthCurve) -> float:
 
 def probe_order(model: RadialKahlerModel, f: HoloPoly,
                 top: float = 200.0) -> float:
-    """order_at_infinity on 24 radii in (top/100, top), where exponential
-    growth reads as infinite before it overflows, then, if finite, in
-    (100, 1e4), far enough out that lower-order terms stop biasing it."""
-    def probe(lo, hi):
-        return order_at_infinity(growth_curve(
-            model, f, 0, np.geomspace(lo, hi, 24), refine=False))
-    d = probe(top / 100.0, top)
-    return probe(100.0, 1e4) if math.isfinite(d) and top < 1e4 else d
+    """order_at_infinity on 24 radii in (100, 1e4), far enough out that
+    lower-order terms stop biasing it, or, where M overflows there (or
+    top >= 1e4), in (top/100, top), where exponential growth reads as
+    infinite sooner."""
+    for hi in (1e4, top) if top < 1e4 else (top,):
+        try:
+            with np.errstate(all="ignore"):
+                curve = growth_curve(model, f, 0, np.geomspace(
+                    hi / 100.0, hi, 24), refine=False)
+            if np.all(np.isfinite(curve.log_values)):
+                return order_at_infinity(curve)
+        except MaximizationError:
+            pass
+    raise MaximizationError(
+        "max modulus overflows in every order probe; pass d explicitly")
 
 
 def necessity_deficit(model: RadialKahlerModel, r_grid) -> float:

@@ -290,16 +290,30 @@ def test_out_of_range_radii_make_one_error_line(capsys):
     assert err.count("\n") == 1 and len(err) < 200
 
 
-def test_monotonicity_exponential_growth_asks_for_d(capsys):
-    # the order probe reads exponential growth on a moderate window before
-    # the outer one overflows: one stderr line, exit 2, no warnings
+@pytest.mark.parametrize("f", ["z^2+z", "z^5+z"])
+def test_monotonicity_exponential_growth_asks_for_d(capsys, f):
+    # the outer order probe overflows; the moderate window reads z^2 + z
+    # as exponential growth, and overflows on z^5 + z too: either way one
+    # stderr line asking for d, exit 2, no warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["monotonicity", "--model", "cigar", "--f", "z^2+z",
+        code = main(["monotonicity", "--model", "cigar", "--f", f,
                      "--radii", "0.2:8:12"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--d" in err
+    assert err.count("\n") == 1 and "d explicitly" in err
+
+
+@pytest.mark.parametrize("f, d", [("100+z^2", 2), ("z+0.01z^3", 3)])
+def test_monotonicity_polynomial_order_from_outer_window(tmp_path, f, d):
+    # large lower-order terms steepen log M on the moderate window (2, 200);
+    # the order is read on (100, 1e4), where it has settled
+    out = tmp_path / "r.json"
+    code = main(["monotonicity", "--model", "flat", "--f", f,
+                 "--radii", "0.5:20:12", "--json", str(out)])
+    assert code == 0
+    witness = json.loads(out.read_text())["checks"][0]["witness"]
+    assert witness["d"] == pytest.approx(d, abs=1e-3)
 
 
 def test_curvature_table(tmp_path):

@@ -30,6 +30,7 @@ from growthlab.growth import (
     monotonicity_check,
     necessity_deficit,
     order_at_infinity,
+    probe_order,
     separation_eigenvalue,
     three_circle_check,
 )
@@ -558,6 +559,15 @@ def test_homogeneity_flat_perturbed():
     v400 = homogeneity_check(FLAT, f, 2.0, 400.0)
     assert v100 <= 0.05
     assert v400 < v100
+
+
+def test_homogeneity_order_ignores_large_lower_terms():
+    # log M of 100 + z^2 steepens on the moderate window (2, 200), which
+    # read as exponential growth before the probe looked at (100, 1e4)
+    f = HoloPoly(1, {0: 100.0, 2: 1.0})
+    assert probe_order(FLAT, f) == pytest.approx(2.0, abs=1e-3)
+    v100 = homogeneity_check(FLAT, f, 2.0, 100.0)
+    assert homogeneity_check(FLAT, f, 2.0, 400.0) < v100 <= 0.05
 
 
 def test_homogeneity_two_vars():
