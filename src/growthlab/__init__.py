@@ -56,7 +56,6 @@ from .growth import (
 )
 from .dimension import (
     DimensionBound,
-    RegimeReport,
     dim_bound_from_h,
     dim_poly_space,
     exp_growth_bound,

@@ -364,16 +364,15 @@ def _cmd_three_circle(args):
     _require(args, "f", "radii")
     model = build_model(args)
     f = parse_function(args.f, args.n)
-    center = parse_complex(args.center) if args.center else None
+    center = parse_complex(args.center) if args.center else 0
     radii = parse_radii(args.radii, args.spacing)
     h = resolve_h(args.h, model, radii)
     curve = growth_curve(model, f, center, radii)
     rep = three_circle_check(curve, h, tol=args.tol)
-    hv = np.asarray(h(curve.radii), dtype=float)
     pad = [""] + [float(x) for x in rep.second_differences] + [""]
     rows = [(float(r), float(hr), float(m), float(lm), sd)
-            for r, hr, m, lm, sd in zip(curve.radii, hv, curve.values,
-                                        curve.log_values, pad)]
+            for r, hr, m, lm, sd in zip(curve.radii, rep.h_values,
+                                        curve.values, curve.log_values, pad)]
     checks = [_check("three-circle", rep.verdict == "pass", args.tol,
                      {"min_second_difference": rep.min_second_difference,
                       "argmin_r": rep.argmin_r}, "violation")]
@@ -389,23 +388,22 @@ def _cmd_monotonicity(args):
     if args.d is not None:
         d = args.d
     elif args.direction == "nondecreasing":
-        d = f.vanishing_order_at_basepoint
+        d = f.vanishing_order()
     else:
         d = probe_order(model, f)
         if not math.isfinite(d):
             raise DomainError(
                 "order at infinity diverges; pass --d explicitly")
-    curve = growth_curve(model, f, None, radii)
+    curve = growth_curve(model, f, 0, radii)
     rep = monotonicity_check(curve, h, d, direction=args.direction,
                              tol=args.tol)
-    hv = np.asarray(h(radii), dtype=float)
-    slack = curve.log_values - d * hv
+    slack = curve.log_values - d * rep.h_values
     checks = [_check(f"monotonicity {args.direction} d={d:g}",
                      rep.verdict == "pass", args.tol,
                      {"worst": rep.worst, "argworst_r": rep.argworst_r,
                       "d": d}, "violation")]
     return checks, (["r", "h", "M", "logM", "t"],
-                    list(zip(radii.tolist(), hv.tolist(),
+                    list(zip(radii.tolist(), rep.h_values.tolist(),
                              curve.values.tolist(),
                              curve.log_values.tolist(), slack.tolist())))
 
@@ -445,35 +443,26 @@ def _cmd_homogeneity(args):
 
 def _cmd_dimension(args):
     _require(args, "regime")
-    regime = args.regime
-    if regime == "poly":
+    if args.regime == "poly":
         bound = dim_poly_space(args.n, args.d)
-        witness = {"bound": bound, "n": args.n, "d": args.d}
-        name = "dimension poly"
-    elif regime == "power-decay":
-        rep = power_decay_regimes(args.A, args.eps, args.d, args.n)
-        bound = rep.bound
-        witness = {"bound": rep.bound, "regime": rep.regime,
-                   "d_eff": rep.d_eff,
-                   "trivial_threshold": rep.trivial_threshold,
-                   "growth_factor": rep.growth_factor}
-        name = f"dimension power-decay [{rep.regime}]"
-    elif regime == "exp-growth":
+        print(f"bound {bound}")
+        return [_check("dimension poly", True, None,
+                       {"bound": bound, "n": args.n, "d": args.d})], None
+    if args.regime == "power-decay":
+        b = power_decay_regimes(args.A, args.eps, args.d, args.n)
+    elif args.regime == "exp-growth":
         b = exp_growth_bound(args.C, args.d, args.n, args.c1)
-        bound = b.bound
-        witness = {"bound": b.bound, "d_eff": b.d_eff, **dict(b.params)}
-        name = "dimension exp-growth"
     else:  # from-h
         params = ({"A": args.A, "eps": args.eps}
                   if args.h_tag == "power-decay" else {})
         h = closed_form_convexifier(_CLOSED_H[args.h_tag], **params)
         b = dim_bound_from_h(h, args.d, args.n)
-        bound = b.bound
-        witness = {"bound": b.bound, "regime": b.regime, "d_eff": b.d_eff,
-                   **dict(b.params)}
-        name = f"dimension from-h [{b.regime}]"
-    print(f"bound {bound}" + (f", regime {witness['regime']}"
-                              if "regime" in witness else ""))
+    print(f"bound {b.bound}, regime {b.regime}")
+    # exp-growth's regime repeats C, which the name leaves to the witness
+    name = f"dimension {args.regime}" + (
+        "" if args.regime == "exp-growth" else f" [{b.regime}]")
+    witness = {"bound": b.bound, "regime": b.regime, "d_eff": b.d_eff,
+               **dict(b.params)}
     return [_check(name, True, None, witness)], None
 
 

@@ -135,8 +135,7 @@ class ResidualReport:
     argmin_r: float
     passed: bool
     tol: float
-    grid: np.ndarray = field(repr=False, default=None)
-    residuals: np.ndarray = field(repr=False, default=None)
+    residuals: np.ndarray = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,7 @@ def verify_supersolution(u: Supersolution, g: CurvatureLowerBound,
     k = int(np.argmin(res))
     return ResidualReport(min_residual=float(res[k]), argmin_r=float(rs[k]),
                           passed=bool(res[k] >= -tol), tol=tol,
-                          grid=rs, residuals=res)
+                          residuals=res)
 
 
 # ---------------------------------------------------------------------------

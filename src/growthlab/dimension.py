@@ -7,7 +7,7 @@ vanishing-order argument converts h-growth into Euclidean growth: when h
 grows like gamma * log r with gamma in (0, 1], order-d growth against h
 reads as Euclidean order d / gamma and the same monomial count applies.
 
-Three bound families are exposed:
+Four functions are exposed; all but the first return a DimensionBound:
 
 * ``dim_poly_space``        the Euclidean benchmark count
 * ``dim_bound_from_h``      bound through a measured growth exponent
@@ -31,7 +31,6 @@ from .errors import DomainError
 
 __all__ = [
     "DimensionBound",
-    "RegimeReport",
     "dim_bound_from_h",
     "dim_poly_space",
     "exp_growth_bound",
@@ -45,9 +44,13 @@ _SNAP = 1e-9  # floats this close to an integer count as that integer
 class DimensionBound:
     """An upper bound on a growth-restricted function space.
 
-    bound = dim_poly_space(n, d_eff) whenever finite; d_eff is the
-    effective Euclidean order the derivation produced.  regime is one of
-    euclidean_exact | h_growth | exp_growth | exp_growth(C=...).
+    bound = dim_poly_space(n, d_eff) whenever finite, except the trivial
+    clause's bound 1; d_eff is the effective Euclidean order the derivation
+    produced.  regime is euclidean_exact | h_growth | exp_growth (from h),
+    trivial | sharp | general (power decay) or exp_growth(C=...).  params
+    holds the derivation's (name, value) witnesses: gamma (and c1) from h;
+    A, eps, trivial_threshold, growth_factor (and, sharp only, sharp_cap,
+    witness_ok) for power decay; a, b, A, k, C, c1 for exp_growth(C=...).
     """
 
     n: int
@@ -58,38 +61,11 @@ class DimensionBound:
     params: tuple = ()
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    """Which clause of the power-decay trichotomy applied, with witnesses.
-
-    regime: trivial (d below e^{-3A/eps}, constants only) | sharp
-    (integer d with A/eps <= 1/(4d), Euclidean count) | general
-    (count at the inflated order d e^{2A/eps}).
-    """
-
-    A: float
-    eps: float
-    d: float
-    n: int
-    regime: str
-    bound: int | float
-    d_eff: float
-    trivial_threshold: float          # e^{-3A/eps}
-    growth_factor: float              # e^{2A/eps}
-    d_is_integer: bool
-    sharp_cap: float | None = None    # 1/(4d), integer d only
-    witness_ok: bool | None = None    # e^{2A/eps} d < d + 1, sharp only
-
-
 def _check_n(n) -> None:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DomainError("n must be an integer >= 1")
     if n < 1:
         raise DomainError("n must be an integer >= 1")
-
-
-def _floor_snapped(d: float) -> int:
-    return math.floor(d + _SNAP)
 
 
 def dim_poly_space(n: int, d: float) -> int:
@@ -98,7 +74,7 @@ def dim_poly_space(n: int, d: float) -> int:
     d = float(d)
     if not math.isfinite(d) or d < 0:
         raise DomainError("d must be finite and >= 0")
-    return math.comb(n + _floor_snapped(d), n)
+    return math.comb(n + math.floor(d + _SNAP), n)
 
 
 def _default_window(h: Convexifier) -> tuple:
@@ -157,7 +133,7 @@ def dim_bound_from_h(h: Convexifier, d: float, n: int,
 
 
 def power_decay_regimes(A: float, eps: float, d: float,
-                        n: int) -> RegimeReport:
+                        n: int) -> DimensionBound:
     """Trichotomy of bounds under the curvature floor -A/(1+r)^(2+eps).
 
     trivial: d <= e^{-3A/eps}; only constants, bound 1.
@@ -180,28 +156,22 @@ def power_decay_regimes(A: float, eps: float, d: float,
     threshold = math.exp(-3.0 * A / eps)
     x = 2.0 * A / eps
     factor = math.exp(x) if x < 709.0 else math.inf
+    params = (("A", A), ("eps", eps), ("trivial_threshold", threshold),
+              ("growth_factor", factor))
     d_int = round(d)
-    is_int = abs(d - d_int) <= _SNAP and d_int >= 1
     if d <= threshold:
-        return RegimeReport(A=A, eps=eps, d=d, n=n, regime="trivial",
-                            bound=1, d_eff=0.0,
-                            trivial_threshold=threshold,
-                            growth_factor=factor, d_is_integer=is_int)
-    if is_int and A / eps <= 0.25 / d_int:
-        return RegimeReport(A=A, eps=eps, d=d, n=n, regime="sharp",
-                            bound=dim_poly_space(n, float(d_int)),
-                            d_eff=float(d_int),
-                            trivial_threshold=threshold,
-                            growth_factor=factor, d_is_integer=True,
-                            sharp_cap=0.25 / d_int,
-                            witness_ok=factor * d_int < d_int + 1)
+        return DimensionBound(n=n, d=d, bound=1, regime="trivial", d_eff=0.0,
+                              params=params)
+    if abs(d - d_int) <= _SNAP and d_int >= 1 and A / eps <= 0.25 / d_int:
+        return DimensionBound(
+            n=n, d=d, bound=dim_poly_space(n, float(d_int)), regime="sharp",
+            d_eff=float(d_int),
+            params=params + (("sharp_cap", 0.25 / d_int),
+                             ("witness_ok", factor * d_int < d_int + 1)))
     d_eff = d * factor
     bound = dim_poly_space(n, d_eff) if math.isfinite(d_eff) else math.inf
-    return RegimeReport(A=A, eps=eps, d=d, n=n, regime="general",
-                        bound=bound, d_eff=d_eff,
-                        trivial_threshold=threshold,
-                        growth_factor=factor, d_is_integer=is_int,
-                        sharp_cap=0.25 / d_int if is_int else None)
+    return DimensionBound(n=n, d=d, bound=bound, regime="general",
+                          d_eff=d_eff, params=params)
 
 
 def exp_growth_bound(C: float, d: float, n: int, c1: float) -> DimensionBound:

@@ -70,12 +70,11 @@ class HoloPoly:
 
     n = 1 keys may be bare integers; they are normalized to 1-tuples.
     The zero polynomial is rejected (its log-max-modulus is undefined).
+    Ball centers and vanishing points are arguments (default 0), not fields.
     """
     n: int
     coeffs: Mapping
-    basepoint: complex = 0j
     degree: int = field(init=False)
-    vanishing_order_at_basepoint: int = field(init=False)
     # the same polynomial as arrays: row t of _exponents is the
     # multi-index whose coefficient is _coefs[t]
     _exponents: np.ndarray = field(init=False, repr=False, compare=False)
@@ -102,12 +101,6 @@ class HoloPoly:
         object.__setattr__(self, "_exponents",
                            np.array(list(clean), dtype=int))
         object.__setattr__(self, "_coefs", np.array(list(clean.values())))
-        bp = complex(self.basepoint)
-        if bp != 0 and self.n != 1:
-            raise DomainError("off-origin basepoints are supported for n=1 only")
-        object.__setattr__(self, "basepoint", bp)
-        object.__setattr__(self, "vanishing_order_at_basepoint",
-                           self._vanishing_order(bp))
 
     def _coef_vec(self) -> np.ndarray:
         vec = np.zeros(self.degree + 1, dtype=complex)
@@ -115,7 +108,9 @@ class HoloPoly:
             vec[k] = c
         return vec
 
-    def _vanishing_order(self, at: complex) -> int:
+    def vanishing_order(self, at: complex = 0) -> int:
+        """Lowest degree of the Taylor expansion about at (default 0);
+        n >= 2 only about the origin."""
         if self.n == 1:
             vec = self._coef_vec()
             if at != 0:
@@ -124,6 +119,8 @@ class HoloPoly:
             scale = float(np.max(np.abs(vec)))
             nz = np.nonzero(np.abs(vec) > _COEF_TOL * scale)[0]
             return int(nz[0])
+        if at != 0:
+            raise DomainError("vanishing orders off the origin need n = 1")
         return min(sum(a) for a in self.coeffs)
 
     def eval(self, z):
@@ -153,11 +150,8 @@ class HoloPoly:
 @dataclass(frozen=True)
 class GrowthCurve:
     model: RadialKahlerModel
-    f: HoloPoly
-    basepoint: complex
     radii: np.ndarray
     values: np.ndarray
-    exact: np.ndarray  # per-sample: closed form (True) vs numeric max
 
     @property
     def log_values(self) -> np.ndarray:
@@ -180,8 +174,7 @@ class ConvexityReport:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    direction: str
-    d: float
+    h_values: np.ndarray
     worst: float        # most violating signed slack; <= 0 means pass
     argworst_r: float
     verdict: str
@@ -444,9 +437,9 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
     return out
 
 
-def max_modulus(model: RadialKahlerModel, f: HoloPoly, center=None,
+def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
                 r: float = None) -> float:
-    """max |f| over the geodesic ball of radius r about center.
+    """max |f| over the geodesic ball of radius r about center (default 0).
 
     The one-radius case of growth_curve.  Single monomials centered at
     the origin use the closed form.  Otherwise |f| is sampled on the
@@ -460,10 +453,12 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center=None,
     return float(growth_curve(model, f, center, [r]).values[0])
 
 
-def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
+def growth_curve(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
                  radii: Sequence[float] = (), *,
                  refine: bool = True) -> GrowthCurve:
     """max |f| over the geodesic balls about center, at increasing radii.
+
+    center (n = 1 only) defaults to the origin, as does None.
 
     All radii are evaluated together by the method of max_modulus: the
     circle refinements and sphere ascents of all radii run as one batch
@@ -478,16 +473,14 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center=None,
         raise DomainError("radii must be a nonempty 1-d list")
     if np.any(rs <= 0) or np.any(np.diff(rs) <= 0):
         raise DomainError("radii must be positive and strictly increasing")
-    center = f.basepoint if center is None else complex(center)
-    exact = (center == 0) and len(f.coeffs) == 1
+    center = complex(center or 0)
     vals = _max_moduli(model, f, center, rs, refine)
     drop = vals[1:] < vals[:-1] * (1.0 - 1e-9)
     if np.any(drop):
         raise MaximizationError(
             "growth curve decreased at r = "
             f"{rs[1:][drop][0]:g}; maximization did not converge")
-    return GrowthCurve(model=model, f=f, basepoint=center, radii=rs,
-                       values=vals, exact=np.full(rs.shape, exact, dtype=bool))
+    return GrowthCurve(model=model, radii=rs, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +522,13 @@ def monotonicity_check(curve: GrowthCurve, h: Convexifier, d: float,
     if np.any(curve.values <= 0):
         raise DomainError("nonpositive max modulus in the curve")
     logm = curve.log_values
-    t = logm - d * np.asarray(h(curve.radii), dtype=float)
-    diffs = np.diff(t)
+    hv = np.asarray(h(curve.radii), dtype=float)
+    diffs = np.diff(logm - d * hv)
     slack = tol * (1.0 + np.maximum(np.abs(logm[1:]), np.abs(logm[:-1])))
     signed = diffs - slack if direction == "nonincreasing" else -diffs - slack
     k = int(np.argmax(signed))
     verdict = "pass" if signed[k] <= 0 else "violation"
-    return MonotonicityReport(direction=direction, d=d, worst=float(signed[k]),
+    return MonotonicityReport(h_values=hv, worst=float(signed[k]),
                               argworst_r=float(curve.radii[k + 1]),
                               verdict=verdict, tol=tol)
 
@@ -620,7 +613,8 @@ def homogeneity_check(model: RadialKahlerModel, f: HoloPoly, K: float,
 
     x runs over the shell B(0, Kr) minus B(0, r) along rays, y over the
     radial segment from the origin to x.  Decays as r grows when f is
-    asymptotically homogeneous of order d.
+    asymptotically homogeneous of order d.  Raises DomainError when the
+    products overflow.
     """
     if math.isfinite(model.r_max):
         raise DomainError("homogeneity checks need a noncompact model")
@@ -640,12 +634,14 @@ def homogeneity_check(model: RadialKahlerModel, f: HoloPoly, K: float,
     # one row per shell radius of x: y runs along it, and x is its end
     r_y = np.multiply.outer(np.geomspace(r, K * r, 8),
                             np.linspace(0.0, 1.0, 10))
-    fy = f.eval(np.multiply.outer(rho_of_r(model, r_y), dirs))
-    ry = r_y[..., None] ** d
-    gap = np.abs(fy * ry[:, -1:] - fy[:, -1:] * ry)
-    # a ray whose products overflow (inf - inf) is skipped
-    sup = np.fmax.reduce(gap.max(axis=1), axis=None, initial=0.0)
-    return float(sup) / (max_modulus(model, f, 0, r) * r ** d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fy = f.eval(np.multiply.outer(rho_of_r(model, r_y), dirs))
+        ry = r_y[..., None] ** d
+        sup = float(np.abs(fy * ry[:, -1:] - fy[:, -1:] * ry).max())
+    if not math.isfinite(sup):
+        raise DomainError(f"|f| r^d overflows on the shell at r = {r:g}; "
+                          "the homogeneity defect is not finite")
+    return sup / (max_modulus(model, f, 0, r) * r ** d)
 
 
 # ---------------------------------------------------------------------------

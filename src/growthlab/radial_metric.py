@@ -416,7 +416,8 @@ def _gauss(lam: Callable, a, b):
 
 
 def _chart(lam: Callable, knots: np.ndarray):
-    """r(rho) and its inverse from one table of r at the knots.
+    """r(rho), its inverse and the knots kept, from one table of r at the
+    knots.
 
     Panels are integrated by the Gauss-Legendre rule and a point adds its
     partial panel.  The table ends where lam or r stops being finite or r
@@ -464,14 +465,15 @@ def _chart(lam: Callable, knots: np.ndarray):
                  f"{_NEWTON_CAP} Newton steps at some r", BudgetError)
         return rho
 
-    return r_of_rho, rho_of_r
+    return r_of_rho, rho_of_r, knots
 
 
 def _g_panels(lam: Callable, knots: np.ndarray) -> Callable:
     """rho -> ((log lam)'/rho, Delta_0 log lam) = (2 G', 4 (G' + s G'')).
 
-    G(s) = log lam(sqrt s), s = rho^2, is interpolated between squared knots
-    (from _G_FIRST up) at Chebyshev points of the first kind, relative to
+    G(s) = log lam(sqrt s), s = rho^2, is interpolated between the squared
+    knots the chart kept (from _G_FIRST up; no panel lies past the end of
+    its table) at Chebyshev points of the first kind, relative to
     each panel's first sample so that rounding in a large log lam stays out
     of G' and G''.
     """
@@ -516,8 +518,7 @@ def _tabulated_maps(profile: RadialProfile):
     Circles integrate the exp map with the same (log lam)'/rho.
     """
     lam, d1, d2 = profile.lam, profile.d_lam, profile.d2_lam
-    knots = _graded(profile.rho_max)
-    r_of_rho, rho_of_r = _chart(lam, knots)
+    r_of_rho, rho_of_r, knots = _chart(lam, _graded(profile.rho_max))
     if d1 is not None and d2 is not None:
         def derivs(rho):
             lv, pos = lam(rho), rho > 0

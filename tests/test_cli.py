@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from growthlab import (builtin_model, comparison_ode, distance_from_origin,
-                       load_profile_table, model_from_profile, model_hessian)
-from growthlab.cli import (SUITES, main, parse_complex, parse_function,
-                           parse_radii, resolve_h)
+from growthlab import (builtin_model, closed_form_convexifier,
+                       comparison_ode, dim_bound_from_h, dim_poly_space,
+                       distance_from_origin, exp_growth_bound,
+                       load_profile_table, model_from_profile, model_hessian,
+                       power_decay_regimes)
+from growthlab.cli import (SUITES, _CLOSED_H, _jsonable, main, parse_complex,
+                           parse_function, parse_radii, resolve_h)
 from growthlab.errors import DomainError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -154,6 +157,51 @@ def test_dimension_example(capsys):
     out = capsys.readouterr().out
     assert "bound 6" in out
     assert "sharp" in out
+
+
+# one run per regime and clause: poly; power-decay trivial, sharp and
+# general; exp-growth; from-h on logr, cigar and power-decay
+DIMENSION_RUNS = [
+    ["--regime", "poly", "--n", "3", "--d", "4.5"],
+    ["--regime", "power-decay", "--A", "0.05", "--eps", "0.49", "--d", "0.7",
+     "--n", "2"],
+    ["--regime", "power-decay", "--A", "0.05", "--eps", "0.49", "--d", "2",
+     "--n", "2"],
+    ["--regime", "power-decay", "--A", "1", "--eps", "0.4", "--d", "5",
+     "--n", "3"],
+    ["--regime", "exp-growth", "--d", "2", "--n", "2"],
+    ["--regime", "from-h", "--h-tag", "logr", "--d", "2.5", "--n", "2"],
+    ["--regime", "from-h", "--h-tag", "cigar", "--d", "2", "--n", "2"],
+    ["--regime", "from-h", "--h-tag", "power-decay", "--A", "0.05",
+     "--eps", "0.3", "--d", "2", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", DIMENSION_RUNS)
+def test_dimension_witness_is_the_record(tmp_path, capsys, argv):
+    path = tmp_path / "r.json"
+    assert main(["dimension", *argv, "--json", str(path)]) == 0
+    witness = json.loads(path.read_text())["checks"][0]["witness"]
+    opt = dict(zip(argv[::2], argv[1::2]))
+    regime, n, d = opt["--regime"], int(opt["--n"]), float(opt["--d"])
+    if regime == "poly":
+        assert witness == {"bound": dim_poly_space(n, d), "n": n, "d": d}
+        assert capsys.readouterr().out.startswith(
+            f"bound {witness['bound']}\n")
+        return
+    if regime == "power-decay":
+        b = power_decay_regimes(float(opt["--A"]), float(opt["--eps"]), d, n)
+    elif regime == "exp-growth":
+        b = exp_growth_bound(0.18, d, n, 1.0)
+    else:
+        params = ({"A": float(opt["--A"]), "eps": float(opt["--eps"])}
+                  if opt["--h-tag"] == "power-decay" else {})
+        b = dim_bound_from_h(closed_form_convexifier(
+            _CLOSED_H[opt["--h-tag"]], **params), d, n)
+    assert witness == _jsonable({"bound": b.bound, "regime": b.regime,
+                                 "d_eff": b.d_eff, **dict(b.params)})
+    assert capsys.readouterr().out.startswith(
+        f"bound {b.bound}, regime {b.regime}\n")
 
 
 def test_version_flag(capsys):
@@ -379,6 +427,17 @@ def test_homogeneity_command():
     assert code == 0
 
 
+def test_homogeneity_overflow_is_one_error_line(capsys):
+    # |f| r^4 overflows on the cigar's shell at r = 100: a usage error,
+    # not a verdict read off the rays that stayed finite
+    code = main(["homogeneity", "--model", "cigar", "--f", "z^4+z",
+                 "--radii", "100", "--d", "4"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "overflows" in err
+
+
 def test_monotonicity_command():
     code = main(["monotonicity", "--model", "flat", "--f", "z^2",
                  "--radii", "0.5:20:12", "--d", "2"])
@@ -537,9 +596,8 @@ def test_lab_commands_load_no_scipy(tmp_path):
         ["necessity", "--model", "table", "--table", table],
         ["homogeneity", "--model", "flat", "--f", "z^2+z",
          "--radii", "100,1000"],
-        ["dimension", "--regime", "power-decay", "--A", "0.05",
-         "--eps", "0.49", "--d", "2", "--n", "2"],
-    ] + [["suite", name] for name in SUITES]
+    ] + [["dimension", *argv] for argv in DIMENSION_RUNS] + [
+        ["suite", name] for name in SUITES]
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         from growthlab.cli import main

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from growthlab.comparison_ode import Convexifier, closed_form_convexifier
 from growthlab.dimension import (
+    DimensionBound,
     dim_bound_from_h,
     dim_poly_space,
     exp_growth_bound,
@@ -147,8 +148,8 @@ def test_regimes_sharp_example():
     rep = power_decay_regimes(0.05, 0.49, 2, 2)
     assert rep.regime == "sharp"
     assert rep.bound == 6
-    assert rep.witness_ok is True
-    witness = rep.growth_factor * 2
+    assert dict(rep.params)["witness_ok"] is True
+    witness = dict(rep.params)["growth_factor"] * 2
     assert witness == pytest.approx(2.0 * math.exp(0.1 / 0.49), rel=1e-12)
     assert witness == pytest.approx(2.449, abs=5e-3)
     assert witness < 3
@@ -159,9 +160,9 @@ def test_regimes_trivial_example():
     assert rep.regime == "trivial"
     assert rep.bound == 1
     assert rep.d_eff == 0.0
-    assert rep.trivial_threshold == pytest.approx(math.exp(-0.15 / 0.49),
-                                                  rel=1e-12)
-    assert rep.trivial_threshold == pytest.approx(0.736, abs=1e-3)
+    threshold = dict(rep.params)["trivial_threshold"]
+    assert threshold == pytest.approx(math.exp(-0.15 / 0.49), rel=1e-12)
+    assert threshold == pytest.approx(0.736, abs=1e-3)
 
 
 def test_regimes_general_example():
@@ -170,6 +171,23 @@ def test_regimes_general_example():
     assert rep.d_eff == pytest.approx(5.0 * math.exp(5.0), rel=1e-12)
     assert rep.bound == dim_poly_space(3, 5.0 * math.exp(5.0))
     assert rep.bound == math.comb(3 + 742, 3)
+
+
+@pytest.mark.parametrize("A,eps,d,n,regime,bound,d_eff,extra", [
+    (0.05, 0.49, 0.7, 2, "trivial", 1, 0.0, {}),
+    (0.05, 0.49, 2, 2, "sharp", 6, 2.0,
+     {"sharp_cap": 0.125, "witness_ok": True}),
+    (1.0, 0.4, 5, 3, "general", math.comb(745, 3), 5.0 * math.exp(5.0), {}),
+])
+def test_regimes_return_a_dimension_bound(A, eps, d, n, regime, bound,
+                                          d_eff, extra):
+    rep = power_decay_regimes(A, eps, d, n)
+    assert isinstance(rep, DimensionBound)
+    assert (rep.n, rep.d, rep.regime) == (n, d, regime)
+    assert rep.bound == bound and rep.d_eff == d_eff
+    assert dict(rep.params) == {
+        "A": A, "eps": eps, "trivial_threshold": math.exp(-3.0 * A / eps),
+        "growth_factor": math.exp(2.0 * A / eps), **extra}
 
 
 def test_regimes_eps_enforced():
@@ -198,9 +216,10 @@ def test_regimes_sharp_consistency_sweep():
                 if rep.regime != "sharp":
                     continue
                 assert A / eps <= 0.25 / d + 1e-15
-                assert rep.witness_ok is True
-                assert rep.growth_factor * d < d + 1
-                general = dim_poly_space(2, d * rep.growth_factor)
+                params = dict(rep.params)
+                assert params["witness_ok"] is True
+                assert params["growth_factor"] * d < d + 1
+                general = dim_poly_space(2, d * params["growth_factor"])
                 assert general >= rep.bound
 
 
@@ -225,7 +244,7 @@ def test_regimes_trichotomy(A, eps, d):
     assert rep.regime in ("trivial", "sharp", "general")
     assert rep.bound >= 1
     if rep.regime == "trivial":
-        assert d <= rep.trivial_threshold
+        assert d <= dict(rep.params)["trivial_threshold"]
         assert rep.bound == 1
     elif math.isinf(rep.d_eff):
         assert math.isinf(rep.bound)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 from scipy.interpolate import CubicSpline
 from scipy.special import ndtri
@@ -57,17 +59,32 @@ H_SPHERE = closed_form_convexifier("lower_bound_plus_one")
 def test_poly_degree_and_vanishing_order():
     f = HoloPoly(1, {3: 2.0, 1: 1.0})
     assert f.degree == 3
-    assert f.vanishing_order_at_basepoint == 1
+    assert f.vanishing_order() == 1
     g = HoloPoly(2, {(2, 1): 1.0, (0, 3): 1j, (1, 1): 0.5})
     assert g.degree == 3
-    assert g.vanishing_order_at_basepoint == 2
+    assert g.vanishing_order() == 2
 
 
 def test_poly_recentered_vanishing_order():
-    # f = (z - 1)^2 vanishes to order 2 at the basepoint 1
-    f = HoloPoly(1, {0: 1.0, 1: -2.0, 2: 1.0}, basepoint=1.0)
-    assert f.vanishing_order_at_basepoint == 2
+    # f = (z - 1)^2 vanishes to order 2 at the point 1
+    f = HoloPoly(1, {0: 1.0, 1: -2.0, 2: 1.0})
+    assert f.vanishing_order(1.0) == 2
     assert f.degree == 2
+
+
+@given(st.lists(st.tuples(st.sampled_from(
+    [0, 1, -1, 2, -2, 1j, -1j, 1 + 1j, -2 + 1j]), st.integers(1, 3)),
+    min_size=1, max_size=3, unique_by=lambda t: t[0]))
+@settings(max_examples=60, deadline=None)
+def test_vanishing_order_of_products(factors):
+    # prod (z - a_j)^m_j vanishes to order m_j at a_j and not elsewhere;
+    # Gaussian-integer roots keep the expansion and its shifts exact
+    f = HoloPoly(1, dict(enumerate(np.polynomial.polynomial.polyfromroots(
+        [a for a, m in factors for _ in range(m)]))))
+    for a, m in factors:
+        assert f.vanishing_order(a) == m
+    for other in (0.5 + 0.25j, 3.0):
+        assert f.vanishing_order(other) == 0
 
 
 def test_poly_merges_and_drops_coefficients():
@@ -85,7 +102,7 @@ def test_poly_rejects_zero_and_bad_indices():
     with pytest.raises(DomainError):
         HoloPoly(1, {-1: 1.0})
     with pytest.raises(DomainError):
-        HoloPoly(2, {(1, 1): 1.0}, basepoint=0.5)
+        HoloPoly(2, {(1, 1): 1.0}).vanishing_order(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +195,6 @@ def test_max_modulus_off_center_flat():
 def test_growth_curve_flat_square():
     c = growth_curve(FLAT, HoloPoly(1, {2: 1.0}), 0, [1.0, 2.0, 3.0])
     assert np.allclose(c.values, [1.0, 4.0, 9.0])
-    assert c.exact.all()
 
 
 def test_growth_curve_hyperbolic_z():
@@ -473,7 +489,7 @@ def test_monotonicity_strictly_decreasing_ratio():
 def test_monotonicity_vanishing_order_direction():
     # k = 2 at the origin: log M - 2 log r nondecreasing on flat
     f = HoloPoly(1, {3: 1.0, 2: 1.0})
-    assert f.vanishing_order_at_basepoint == 2
+    assert f.vanishing_order() == 2
     c = growth_curve(FLAT, f, 0, np.geomspace(0.1, 20, 12))
     assert monotonicity_check(c, H_LOGR, 2.0, "nondecreasing").passed
 
@@ -574,6 +590,16 @@ def test_homogeneity_two_vars():
     f = HoloPoly(2, {(2, 0): 1.0, (0, 1): 0.5})
     v = homogeneity_check(FLAT2, f, 2.0, 200.0)
     assert 0.0 <= v <= 0.05
+
+
+@pytest.mark.parametrize("model,coeffs", [
+    (CIGAR, {4: 1.0, 1: 1.0}),
+    (builtin_model("cigar", n=2), {(4, 0): 1.0, (0, 1): 1.0})])
+def test_homogeneity_overflow_raises(model, coeffs):
+    # |f| grows like e^{4r} on the cigar: with d given, the products of
+    # the shell at r = 100 overflow, which is an error, not a value
+    with pytest.raises(DomainError, match="overflows"):
+        homogeneity_check(model, HoloPoly(model.n, coeffs), 2.0, 100.0, d=4)
 
 
 def test_homogeneity_rejections():

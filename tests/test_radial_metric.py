@@ -127,6 +127,28 @@ def test_steep_profiles_build_without_warnings():
         builtin_model("conformal_poly", coeffs=[1.0] + [0.1] * 11)
 
 
+@pytest.mark.parametrize("lam,points", [
+    (lambda rho: np.exp(rho * rho), 6516),
+    (lambda rho: np.exp(-rho * rho), 6444),
+    (lambda rho: (1.0 + rho * rho) ** 2, 16140),
+    (builtin_model("cigar").profile.lam, 18588),
+])
+def test_g_panels_end_with_the_chart(lam, points):
+    # the chart takes 6,084 lam points on its 554 knots, and each G panel
+    # 24 up to the last knot the chart kept: exp(+-rho^2) and (1+rho^2)^2
+    # end early (the cigar keeps every knot), where sampling every panel
+    # took 18,588 points on each profile
+    count = [0]
+
+    def counted(rho):
+        count[0] += np.size(rho)
+        return lam(rho)
+
+    model_from_profile(RadialProfile(lam=counted, rho_max=math.inf,
+                                     name="counted"))
+    assert count[0] == points
+
+
 def test_tabulated_rho_of_r_budget(monkeypatch):
     m = builtin_model("conformal_poly", coeffs=[1.0] + [0.1] * 11)
     monkeypatch.setattr(radial_metric, "_NEWTON_CAP", 2)
