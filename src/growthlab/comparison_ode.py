@@ -134,7 +134,6 @@ class ResidualReport:
     min_residual: float
     argmin_r: float
     passed: bool
-    tol: float
     residuals: np.ndarray = field(repr=False)
 
 
@@ -313,8 +312,7 @@ def verify_supersolution(u: Supersolution, g: CurvatureLowerBound,
            + 0.5 * np.asarray(g(rs), dtype=float))
     k = int(np.argmin(res))
     return ResidualReport(min_residual=float(res[k]), argmin_r=float(rs[k]),
-                          passed=bool(res[k] >= -tol), tol=tol,
-                          residuals=res)
+                          passed=bool(res[k] >= -tol), residuals=res)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,20 @@ evaluates all of its radii in one pass, and max_modulus is its
 one-radius case:
 
   * monomials centered at the origin have a closed form;
+  * phase-alignable f centered there on C and C^2: when the exponent
+    differences a_t - a_0 of its k terms have rank k - 1, one torus
+    rotation aligns the phases of all terms, so M is the maximum of
+    sum |c_a| rho^|a| s^a over s >= 0, |s| = 1: a closed form on C, the
+    peak of g = sum |c_a| z^a on the real circle rho (cos, sin) on C^2;
   * n = 1: |f| is sampled on each circle and the best samples refined
     together by parabolic interpolation.  Off-center circles (n = 1 only)
     are closed forms or, without one, one exp-map integration through
     every radius;
-  * n >= 2: |f| is sampled at fixed Halton directions on each sphere, and
-    the best 32 per sphere climb together, over all radii at once, by a
-    saddle-free Riemannian Newton ascent of |f|^2 to rounding level.  A
-    curve then climbs once more on every sphere from the direction of
-    each sphere's best point.
+  * other polynomials on C^n, n >= 2: |f| is sampled at fixed Halton
+    directions on each sphere, and the best 32 per sphere climb together,
+    over all radii at once, by a saddle-free Riemannian Newton ascent of
+    |f|^2 to rounding level.  A curve then climbs once more on every
+    sphere from the direction of each sphere's best point.
 """
 from __future__ import annotations
 
@@ -165,7 +170,6 @@ class ConvexityReport:
     min_second_difference: float
     argmin_r: float
     verdict: str  # "pass" | "violation"
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -178,7 +182,6 @@ class MonotonicityReport:
     worst: float        # most violating signed slack; <= 0 means pass
     argworst_r: float
     verdict: str
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -351,15 +354,19 @@ def _sphere_ascent(f: HoloPoly, z: np.ndarray, scale: np.ndarray) -> tuple:
     return x[:, :n] + 1j * x[:, n:], np.sqrt(val) * scale
 
 
+def _samples(f: HoloPoly, zeta: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """|f(rho zeta)| at unit vectors zeta (count, n), a row per radius:
+    f(rho zeta) = sum_t c_t rho^|e_t| zeta^e_t, one table for all radii."""
+    e = f._exponents
+    return np.abs(f._monomials(zeta, e)
+                  @ (f._coefs[:, None] * rho ** e.sum(axis=1)[:, None])).T
+
+
 def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int,
                 refine: bool) -> np.ndarray:
     """max |f| on the spheres |z| = rho of C^n, n >= 2, one per entry."""
     zeta = _directions(f.n, count)
-    # f(rho zeta) = sum_t c_t rho^|e_t| zeta^e_t: one monomial table serves
-    # every radius
-    e, c = f._exponents, f._coefs
-    vals = np.abs(f._monomials(zeta, e)
-                  @ (c[:, None] * rho ** e.sum(axis=1)[:, None])).T
+    vals = _samples(f, zeta, rho)
     best = vals.max(axis=1)
     if not refine:
         return best
@@ -416,6 +423,22 @@ def _circle_peaks(f: HoloPoly, circle: Callable, phis: np.ndarray,
     return y[1]
 
 
+def _aligned_max(f: HoloPoly, rho: np.ndarray, refine: bool) -> np.ndarray:
+    """max over s >= 0, |s| = 1 of sum |c_a| rho^|a| s^a, n <= 2: max |f|
+    on |z| = rho if f is phase-alignable, an upper bound otherwise.  On C^2
+    it is the peak of g = sum |c_a| z^a on the real circle rho (cos, sin),
+    which lies in the first quadrant as |cos^a sin^b| <= |cos|^a |sin|^b."""
+    if f.n == 1:
+        return np.abs(f._coefs) @ rho ** f._exponents
+    g = HoloPoly(2, {a: abs(c) for a, c in f.coeffs.items()})
+    phis = np.linspace(0.0, 2.0 * math.pi, max(960, 16 * g.degree),
+                       endpoint=False)
+    ray = lambda phi: np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    vals = _samples(g, ray(phis), rho)
+    return (_circle_peaks(g, lambda phi: rho[:, None, None] * ray(phi),
+                          phis, vals) if refine else vals.max(axis=1))
+
+
 def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
                 rs: np.ndarray, refine: bool) -> np.ndarray:
     """max |f| over the geodesic balls of radii rs (positive) about center."""
@@ -423,15 +446,22 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
         raise DomainError("polynomial and model dimension differ")
     if center != 0 and f.n != 1:
         raise DomainError("off-center balls are supported for n=1 only")
-    if center == 0 and (len(f.coeffs) == 1 or f.n > 1):
+    k = len(f.coeffs)
+    if center == 0 and (k <= 2 or f.n > 1):
         rho = np.asarray(rho_of_r(model, rs), dtype=float)
-        return (_monomial_max(f, rho) if len(f.coeffs) == 1
-                else _sphere_max(f, rho, 480 * f.n, refine))
-    circle = geodesic_circle(model, center, rs)
-    count = max(720, 16 * max(f.degree, 1))
-    phis = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-    vals = np.abs(f.eval(circle(phis)))
-    out = _circle_peaks(f, circle, phis, vals) if refine else vals.max(axis=1)
+        if k == 1:
+            return _monomial_max(f, rho)
+        e = f._exponents  # alignable: e_t - e_0 linearly independent
+        if f.n > 2 or np.linalg.matrix_rank(e[1:] - e[0]) < k - 1:
+            return _sphere_max(f, rho, 480 * f.n, refine)
+        out = _aligned_max(f, rho, refine)
+    else:
+        circle = geodesic_circle(model, center, rs)
+        count = max(720, 16 * max(f.degree, 1))
+        phis = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+        vals = np.abs(f.eval(circle(phis)))
+        out = (_circle_peaks(f, circle, phis, vals) if refine
+               else vals.max(axis=1))
     if not np.all(np.isfinite(out)) or np.any(out < 0):
         raise MaximizationError("maximum-modulus search failed")
     return out
@@ -441,11 +471,13 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
                 r: float = None) -> float:
     """max |f| over the geodesic ball of radius r about center (default 0).
 
-    The one-radius case of growth_curve.  Single monomials centered at
-    the origin use the closed form.  Otherwise |f| is sampled on the
-    geodesic sphere: on a circle (n = 1) at max(720, 16 deg) launch
-    angles, the best one refined by parabolic interpolation to rounding
-    level; on the sphere of C^n (n >= 2) at 480 n fixed Halton
+    The one-radius case of growth_curve.  Centered at the origin, single
+    monomials use the closed form, and so do phase-alignable f on C (k
+    terms whose exponent differences have rank k - 1); on C^2 these take
+    the peak of sum |c_a| z^a on a real circle.  Otherwise |f| is sampled
+    on the geodesic sphere: on a circle (n = 1) at max(720, 16 deg)
+    launch angles, the best one refined by parabolic interpolation to
+    rounding level; on the sphere of C^n (n >= 2) at 480 n fixed Halton
     directions, the best 32 climbed by a Riemannian Newton ascent.
     """
     if r is None:
@@ -506,7 +538,7 @@ def three_circle_check(curve: GrowthCurve, h: Convexifier,
     return ConvexityReport(h_values=hv, second_differences=defects,
                            min_second_difference=float(defects[j]),
                            argmin_r=float(curve.radii[j + 1]),
-                           verdict=verdict, tol=tol)
+                           verdict=verdict)
 
 
 def monotonicity_check(curve: GrowthCurve, h: Convexifier, d: float,
@@ -530,7 +562,7 @@ def monotonicity_check(curve: GrowthCurve, h: Convexifier, d: float,
     verdict = "pass" if signed[k] <= 0 else "violation"
     return MonotonicityReport(h_values=hv, worst=float(signed[k]),
                               argworst_r=float(curve.radii[k + 1]),
-                              verdict=verdict, tol=tol)
+                              verdict=verdict)
 
 
 def order_at_infinity(curve: GrowthCurve) -> float:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.interpolate import CubicSpline
@@ -20,6 +20,7 @@ from growthlab import (
     geodesic_circle,
     growth,
     model_from_profile,
+    rho_of_r,
 )
 from growthlab.errors import DomainError
 from growthlab.growth import (
@@ -318,6 +319,130 @@ def test_sphere_max_matches_dense_search(n):
             np.take_along_axis(vals, top, axis=1).ravel())[1]
         ref = ref.reshape(top.shape).max(axis=1)
         assert np.all(got >= ref * (1.0 - 1e-12)), (coeffs, got / ref - 1.0)
+
+
+def _refused(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+def test_alignable_curves_skip_the_sphere_ascent(monkeypatch):
+    # centered phase-alignable curves on C and C^2 take the aligned route;
+    # a non-alignable C^2 curve and an alignable C^3 curve still climb
+    monkeypatch.setattr(growth, "_sphere_ascent", _refused("_sphere_ascent"))
+    radii = [0.3, 0.8, 1.5, 2.5]
+    for name in ("flat", "cigar", "hyperbolic"):
+        model = builtin_model(name, n=2)
+        for coeffs in ({(2, 0): 1.0 - 0.5j, (0, 1): 0.7j},
+                       {(2, 1): 1.0 + 0.3j, (0, 2): -0.7j, (1, 0): 0.2}):
+            growth_curve(model, HoloPoly(2, coeffs), 0, radii)
+    # two terms on C are a closed form: no circle is refined either
+    monkeypatch.setattr(growth, "_circle_peaks", _refused("_circle_peaks"))
+    for model in (FLAT, CIGAR, HYPER):
+        growth_curve(model, HoloPoly(1, {3: 1.0 - 1.0j, 1: 0.5}), 0, radii)
+    for model, coeffs in (
+            (FLAT2, {(2, 0): 1.0, (1, 1): 0.5 - 1.0j, (0, 2): 1.0j}),
+            (FLAT3, {(1, 0, 0): 1.0, (0, 1, 1): 1.0j})):
+        with pytest.raises(AssertionError, match="_sphere_ascent called"):
+            growth_curve(model, HoloPoly(model.n, coeffs), 0, radii)
+
+
+_MODELS2 = {name: builtin_model(name, n=2)
+            for name in ("flat", "cigar", "hyperbolic")}
+
+
+def _term(exps):
+    """Coefficients of modulus 0.2 to 2 at any phase, one per exponent."""
+    polar = st.tuples(st.floats(0.2, 2.0), st.floats(0.0, 2 * math.pi))
+    return st.lists(polar, min_size=len(exps), max_size=len(exps)).map(
+        lambda mp: {a: m * complex(math.cos(t), math.sin(t))
+                    for a, (m, t) in zip(exps, mp)})
+
+
+@st.composite
+def _alignable_c2(draw):
+    """2 or 3 terms of total degree <= 5 whose exponent differences are
+    linearly independent."""
+    k = draw(st.integers(2, 3))
+    exps = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5))
+                         .filter(lambda a: sum(a) <= 5),
+                         min_size=k, max_size=k, unique=True))
+    e = np.array(exps)
+    assume(np.linalg.matrix_rank(e[1:] - e[0]) == k - 1)
+    return HoloPoly(2, draw(_term(exps)))
+
+
+@given(_alignable_c2(), st.sampled_from(sorted(_MODELS2)),
+       st.floats(0.25, 0.4), st.floats(2.0, 6.0))
+@settings(max_examples=40, deadline=None)
+def test_alignable_c2_matches_sphere_ascent(f, name, lo, hi):
+    model = _MODELS2[name]
+    radii = np.geomspace(lo, hi, 7)
+    got = growth_curve(model, f, 0, radii).values
+    rho = np.asarray(rho_of_r(model, radii))
+    ref = growth._sphere_max(f, rho, 960, True)
+    assert np.all(got >= ref * (1.0 - 1e-12)), got / ref - 1.0
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-12, got / ref - 1.0
+
+
+@given(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True)
+       .flatmap(lambda e: _term([(a,) for a in e])),
+       st.sampled_from(["flat", "cigar", "hyperbolic", "sphere"]),
+       st.floats(0.1, 0.4), st.floats(1.5, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_two_term_closed_form_matches_circle(coeffs, name, lo, hi):
+    # on C two terms always align: sum |c_a| rho^a against the refined
+    # circle samples of the general n = 1 route
+    f, model = HoloPoly(1, coeffs), builtin_model(name)
+    radii = np.geomspace(lo, hi, 7)
+    got = growth_curve(model, f, 0, radii).values
+    circle = geodesic_circle(model, 0, radii)
+    phis = np.linspace(0.0, 2 * math.pi, max(720, 16 * f.degree),
+                       endpoint=False)
+    ref = growth._circle_peaks(f, circle, phis, np.abs(f.eval(circle(phis))))
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-12, got / ref - 1.0
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS2))
+def test_aligned_sum_bounds_other_supports(name):
+    # max |f| <= max over s >= 0 of sum |c_a| rho^|a| s^a for any support;
+    # here 4 or 5 terms, or 3 terms with collinear exponent differences
+    model, rng = _MODELS2[name], np.random.default_rng(4200)
+    radii = np.geomspace(0.3, 2.5 if name == "hyperbolic" else 5.0, 7)
+    rho = np.asarray(rho_of_r(model, radii))
+    for k in (3, 3, 4, 4, 5, 5):
+        while True:
+            if k == 3:
+                a, v = rng.integers(0, 3, size=2), rng.integers(-2, 3, size=2)
+                exps = [tuple(a + j * v) for j in rng.choice(
+                    [-2, -1, 1, 2], size=2, replace=False)] + [tuple(a)]
+            else:
+                exps = [tuple(rng.integers(0, 6, size=2)) for _ in range(k)]
+            e = np.array(exps)
+            if (len(set(exps)) == k and e.min() >= 0 and e.sum(1).max() <= 5
+                    and np.linalg.matrix_rank(e[1:] - e[0]) < k - 1):
+                break
+        f = HoloPoly(2, {a: complex(*rng.normal(size=2)) for a in exps})
+        got = growth_curve(model, f, 0, radii).values
+        bound = growth._aligned_max(f, rho, True)
+        assert np.all(got <= bound * (1.0 + 1e-12)), (exps, got / bound)
+
+
+def test_c3_corner_maximum_stays_exact():
+    # an alignable C^3 polynomial whose aligned maximum sits at the corner
+    # s = (1, 0, 0) of the positive orthant: M = |c_100| r + |c_300| r^3.
+    # Orthant samples taken through |zeta| of sphere directions rarely land
+    # near a corner, so an orthant method for n >= 3 must sample its faces
+    c100 = -0.5078162999985072 + 0.13803062220548454j
+    c300 = 1.5368289784177398 - 0.08661879376533692j
+    f = HoloPoly(3, {(1, 0, 0): c100, (0, 4, 1): -1.544848884159711
+                     - 1.9235821272837244j, (3, 0, 0): c300,
+                     (1, 3, 0): -1.2055048646158915 - 1.9559957408450315j})
+    r = math.sqrt(1.8)
+    want = abs(c100) * r + abs(c300) * r ** 3
+    assert want == pytest.approx(4.423287347680635, rel=1e-15)
+    assert max_modulus(FLAT3, f, 0, r) == pytest.approx(want, rel=1e-12)
 
 
 def test_three_circle_off_center_positivity():
