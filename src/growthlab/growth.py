@@ -21,10 +21,10 @@ one-radius case:
     rotation aligns the phases of all terms, so M is the maximum of
     sum |c_a| rho^|a| s^a over s >= 0, |s| = 1: a closed form on C, the
     peak of g = sum |c_a| z^a on the real circle rho (cos, sin) on C^2;
-  * n = 1: |f| is sampled on each circle and the best samples refined
-    together by parabolic interpolation.  Off-center circles (n = 1 only)
-    are closed forms or, without one, one exp-map integration through
-    every radius;
+  * n = 1: |f| is sampled on each circle, and peaks placed on interpolants
+    of the samples are refined together by parabolas through true values.
+    Off-center circles (n = 1 only) are closed forms or, without one, one
+    exp-map integration through every radius;
   * other polynomials on C^n, n >= 2: |f| is sampled at fixed Halton
     directions on each sphere, and the best 32 per sphere climb together,
     over all radii at once, by a saddle-free Riemannian Newton ascent of
@@ -253,9 +253,15 @@ _STARTS = 32         # best sampled directions polished per sphere
 _NEWTON_STEPS = 100  # Newton iterations per member, at most
 _HALVINGS = 50       # step halvings per Newton iteration, at most
 _RAY_SAMPLES = 24    # sample rays of homogeneity_check
-_PARABOLA_STEPS = 40  # refinement steps per circle, at most
-_GAIN_TOL = 1e-14     # relative gain below which a parabola is converged
-_PROBE = 1e-9         # shortest refinement step, rad
+_BEND = 1e-8         # relative second difference of the circle probes
+_PROBE_ROUNDS = 20   # probe rounds per circle, at most
+# samples at u = -3 .. 3 -> u-coefficients of the first and second derivative
+# of their interpolant; a Lagrange basis from roots imports no LAPACK
+_NODES, _DERIVS = np.arange(-3, 4), np.zeros((7, 12))
+_DERIVS[:, :6], _DERIVS[:, 6:11] = (np.polynomial.polynomial.polyder(np.array([
+    np.polynomial.polynomial.polyfromroots(np.delete(_NODES, j))
+    / np.prod(x - np.delete(_NODES, j)) for j, x in enumerate(_NODES)]),
+    order, axis=1) for order in (1, 2))
 
 
 def _jet(f: HoloPoly) -> Callable:
@@ -367,6 +373,8 @@ def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int,
     """max |f| on the spheres |z| = rho of C^n, n >= 2, one per entry."""
     zeta = _directions(f.n, count)
     vals = _samples(f, zeta, rho)
+    if not np.all(np.isfinite(vals)):
+        raise MaximizationError("maximum-modulus search failed")
     best = vals.max(axis=1)
     if not refine:
         return best
@@ -390,37 +398,43 @@ def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int,
 
 def _circle_peaks(f: HoloPoly, circle: Callable, phis: np.ndarray,
                   vals: np.ndarray) -> np.ndarray:
-    """Refine the best of the samples vals = |f(circle(phis))|, all rows,
-    by successive parabolic interpolation on true circle values from the
-    bracket of the best sample and its neighbours.  A circle stops after
-    two parabolas in a row that gain at most _GAIN_TOL of its best value,
-    once its bracket is at most 4 _PROBE wide, or after _PARABOLA_STEPS
-    steps, and keeps the best value seen."""
-    m, count = vals.shape
-    i, nbr = np.argmax(vals, axis=1), np.array([-1, 0, 1])[:, None]
-    x, y = phis[i] + phis[1] * nbr, vals[np.arange(m), (i + nbr) % count]
-    quiet, live = np.zeros(m), np.nonzero(np.isfinite(y[1]))[0]
-    for _ in range(_PARABOLA_STEPS):
-        (a, b, c), (fa, fb, fc) = x[:, live], y[:, live]
-        lft, rgt, da, dc = b - a, c - b, fb - fa, fb - fc
-        # the parabola peaks at b + s, num s / (lft rgt (lft + rgt)) above
-        # fb; s = 0 where the three values are level
-        num, den = 0.5 * (rgt * rgt * da - lft * lft * dc), lft * dc + rgt * da
-        s = np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
-        v = b + np.where(abs(s) >= _PROBE, s, np.copysign(_PROBE, rgt - lft))
-        cols = np.arange(live.size)
-        fv = np.abs(f.eval(circle(v)[live, cols]))
-        left = v < b
-        pts = np.where(left, (a, v, b, c), (a, b, v, c))
-        fpts = np.where(left, (fa, fv, fb, fc), (fa, fb, fv, fc))
-        k = 1 + (left != (fv >= fb)) + nbr
-        x[:, live], y[:, live] = pts[k, cols], fpts[k, cols]
-        gained = num * s > _GAIN_TOL * fb * lft * rgt * (lft + rgt)
-        quiet[live] = np.where(gained, 0, quiet[live] + 1)
-        live = live[(quiet[live] < 2) & (np.ptp(x[:, live], 0) > 4 * _PROBE)]
+    """Refine the best of the samples vals = |f(circle(phis))|, all rows:
+    three Newton steps on the degree-6 interpolant of the best sample and
+    three neighbours on each side give a peak v; probes at v and v +- e
+    (e bends them by about _BEND, at most a tenth of a spacing) move v to
+    their parabola's vertex, or to the higher probe with e widened 4 times
+    where they do not bend down, until v moves at most e/4 on an unwidened
+    e.  Returns the largest value seen."""
+    i, count = np.argmax(vals, axis=1), vals.shape[1]
+    out = vals[np.arange(i.size), i]
+    rows = np.nonzero(np.isfinite(out))[0]
+    y = vals[rows[:, None], (i[rows, None] + _NODES) % count] / out[rows, None]
+    derivs, u = (y @ _DERIVS).reshape(-1, 2, 6), np.zeros(rows.size)
+    for _ in range(3):
+        g, k = np.einsum("rdj,rj->dr", derivs, u[:, None] ** np.arange(6))
+        # a step of 2 or more, or one up a convex stretch, ends at an edge
+        step = np.divide(g, -k, out=2.0 * np.sign(g), where=-k > 0.5 * abs(g))
+        u = np.minimum(np.maximum(u + step, -1.0), 1.0)
+    v = phis[i[rows]] + phis[1] * u
+    e0 = phis[1] * np.sqrt(_BEND / np.maximum(-k, 100.0 * _BEND))
+    e, live = e0.copy(), np.arange(rows.size)
+    for _ in range(_PROBE_ROUNDS):
         if live.size == 0:
             break
-    return y[1]
+        t = (v[live, None] + e[live, None] * [-1.0, 0.0, 1.0]).ravel()
+        z = circle(t)[rows[live].repeat(3), np.arange(t.size)]
+        fs = np.abs(f.eval(z)).reshape(-1, 3).T
+        out[rows[live]] = np.fmax(out[rows[live]], np.fmax.reduce(fs))
+        ep, (a, b, c) = e[live], fs / out[rows[live]]
+        den = 2.0 * b - a - c
+        s = np.clip(np.divide(0.5 * ep * (c - a), den, where=den > 0.0,
+                              out=np.sign(c - a) * ep), -phis[1], phis[1])
+        v[live] += s
+        e[live] = np.where(den > 0.0, e0[live], 4.0 * ep)
+        live = live[(abs(s) > 0.25 * ep) | (ep > e0[live])]
+    fv = np.abs(f.eval(circle(v)[rows, np.arange(rows.size)]))
+    out[rows] = np.fmax(out[rows], fv)
+    return out
 
 
 def _aligned_max(f: HoloPoly, rho: np.ndarray, refine: bool) -> np.ndarray:
@@ -476,9 +490,10 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
     terms whose exponent differences have rank k - 1); on C^2 these take
     the peak of sum |c_a| z^a on a real circle.  Otherwise |f| is sampled
     on the geodesic sphere: on a circle (n = 1) at max(720, 16 deg)
-    launch angles, the best one refined by parabolic interpolation to
-    rounding level; on the sphere of C^n (n >= 2) at 480 n fixed Halton
-    directions, the best 32 climbed by a Riemannian Newton ascent.
+    launch angles, a peak placed on an interpolant of the best ones, then
+    refined by parabolas through true values; on the sphere of C^n
+    (n >= 2) at 480 n fixed Halton directions, the best 32 climbed by a
+    Riemannian Newton ascent.
     """
     if r is None:
         raise DomainError("max_modulus needs a radius")
@@ -493,10 +508,10 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
     center (n = 1 only) defaults to the origin, as does None.
 
     All radii are evaluated together by the method of max_modulus: the
-    circle refinements and sphere ascents of all radii run as one batch
-    (spheres climb again from each other radius's best direction), and
-    off-center balls take closed-form circles or share one exp-map
-    integration.
+    circle refinements (about two circle-map calls a curve) and sphere
+    ascents of all radii run as one batch (spheres climb again from each
+    other radius's best direction), and off-center balls take
+    closed-form circles or share one exp-map integration.
     refine=False returns the best samples: with a fixed direction set the
     bias is nearly scale-independent, good enough for slope fits.
     """

@@ -438,6 +438,19 @@ def test_homogeneity_overflow_is_one_error_line(capsys):
     assert len(err.splitlines()) == 1 and "overflows" in err
 
 
+@pytest.mark.parametrize("f", ["z1^2+z1*z2+z2^2", "z1^4+z2"])
+def test_overflowing_c2_curve_is_one_error_line(capsys, f):
+    # rho = sinh r overflows on the cigar by r = 800: the sphere ascent
+    # (non-alignable f) and the aligned route both stop with exit 2
+    with np.errstate(all="ignore"):
+        code = main(["three-circle", "--model", "cigar", "--n", "2",
+                     "--f", f, "--radii", "200:800:5"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: maximum-modulus search failed\n"
+
+
 def test_monotonicity_command():
     code = main(["monotonicity", "--model", "flat", "--f", "z^2",
                  "--radii", "0.5:20:12", "--d", "2"])

@@ -585,6 +585,65 @@ def test_circle_refinement_work_is_quadratic(monkeypatch):
                 assert sum(asked) <= n * count + 16 * n * n
 
 
+def test_circle_refinement_makes_few_circle_calls(monkeypatch):
+    # after its sampling call, a curve's refinement asks the circle map for
+    # one probe round and the final vertices, rarely for more rounds
+    calls = []
+    make_circle = growth.geodesic_circle
+
+    def counted(*args):
+        circle = make_circle(*args)
+
+        def at(phi):
+            calls.append(phi)
+            return circle(phi)
+        return at
+
+    monkeypatch.setattr(growth, "geodesic_circle", counted)
+    rng = np.random.default_rng(45)
+    refinements = []
+    for model in (FLAT, CIGAR, HYPER, SPHERE):
+        for _ in range(25):
+            center = 0.7 * complex(rng.normal(), rng.normal())
+            if model is HYPER:
+                center *= min(1.0, 0.9 / abs(center))
+                top = 4.0
+            elif model is SPHERE:
+                center *= min(1.0, 2.0 / abs(center))
+                top = 0.98 * (math.pi
+                              - distance_from_origin(model, abs(center)))
+            else:
+                top = 3.5
+            f = rand_poly(rng, 1, max_deg=7)
+            calls.clear()
+            growth_curve(model, f, center, np.geomspace(0.1, 1.0, 7) * top)
+            refinements.append(len(calls) - 1)
+    assert np.mean(refinements) <= 3.0, np.bincount(refinements)
+
+
+def test_circle_refinement_does_not_stop_low():
+    # an off-center cigar peak that a parabola stop rule can miss by 1e-13
+    f = HoloPoly(1, {3: 0.8777901325375698 + 0.7497206522219166j,
+                     4: 0.18103458729481264 + 0.2500183974042268j,
+                     5: 0.23805901725218487 + 0.2999132827833922j})
+    center = 0.24309111832882635 - 0.4998255883430478j
+    rs = np.geomspace(0.3, 3.0, 7)
+    got = growth_curve(CIGAR, f, center, rs).values[5]
+    ref = _scalar_search_max(CIGAR, f, center, rs[5])
+    assert abs(got / ref - 1.0) <= 1e-14
+
+
+def test_aligned_c2_peak_matches_closed_form():
+    # |g| on rho (cos, sin) is a x + b x (1 - x) in x = sin^2, with a and b
+    # the two terms' |c| rho^|alpha|: the aligned route to rounding level
+    c02, c22 = -0.1314 + 1.4203j, 1.4306 - 0.3105j
+    a, b = abs(c02) * math.sinh(3.42) ** 2, abs(c22) * math.sinh(3.42) ** 4
+    x = min(1.0, (a + b) / (2.0 * b))
+    f = HoloPoly(2, {(0, 2): c02, (2, 2): c22})
+    got = max_modulus(_MODELS2["cigar"], f, 0, 3.42)
+    assert abs(got / (a * x + b * x * (1.0 - x)) - 1.0) <= 4e-15
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 
