@@ -46,6 +46,7 @@ from .growth import (
     MonotonicityReport,
     cone_exponent,
     growth_curve,
+    growth_order,
     homogeneity_check,
     max_modulus,
     monotonicity_check,

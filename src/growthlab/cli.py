@@ -57,10 +57,10 @@ from .growth import (
     HoloPoly,
     cone_exponent,
     growth_curve,
+    growth_order,
     homogeneity_check,
     monotonicity_check,
     necessity_deficit,
-    probe_order,
     separation_eigenvalue,
     three_circle_check,
 )
@@ -390,10 +390,7 @@ def _cmd_monotonicity(args):
     elif args.direction == "nondecreasing":
         d = f.vanishing_order()
     else:
-        d = probe_order(model, f)
-        if not math.isfinite(d):
-            raise DomainError(
-                "order at infinity diverges; pass --d explicitly")
+        d = growth_order(model, f)
     curve = growth_curve(model, f, 0, radii)
     rep = monotonicity_check(curve, h, d, direction=args.direction,
                              tol=args.tol)
@@ -743,7 +740,7 @@ def build_parser():
     p.add_argument("--spacing", choices=["log", "linear"], default="log")
     p.add_argument("--h", default="auto")
     p.add_argument("--d", type=float, default=None,
-                   help="growth order; default from probe_order")
+                   help="growth order; default deg f * model rho_order")
     p.add_argument("--direction", choices=["nonincreasing", "nondecreasing"],
                    default="nonincreasing")
     p.add_argument("--tol", type=float, default=1e-7)

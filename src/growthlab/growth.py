@@ -4,7 +4,8 @@ Core predicate battery:
 
   * three_circle_check      log M_f convex against a convexifier h
   * monotonicity_check      M_f / e^{d h} one-sided monotone
-  * order_at_infinity       limsup log M / log r
+  * growth_order            d = deg f * beta, the order of f in O_d
+  * order_at_infinity       limsup log M / log r, fitted to a curve
   * necessity_deficit       the r^2 coefficient of M_z(r)/(c r), which the
                             curvature at the origin predicts as H(0)/12
   * homogeneity_check       |f(y) r(x)^d - f(x) r(y)^d| smallness at scale
@@ -55,8 +56,8 @@ __all__ = [
     "growth_curve",
     "three_circle_check",
     "monotonicity_check",
+    "growth_order",
     "order_at_infinity",
-    "probe_order",
     "necessity_deficit",
     "homogeneity_check",
     "cone_exponent",
@@ -368,16 +369,13 @@ def _samples(f: HoloPoly, zeta: np.ndarray, rho: np.ndarray) -> np.ndarray:
                   @ (f._coefs[:, None] * rho ** e.sum(axis=1)[:, None])).T
 
 
-def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int,
-                refine: bool) -> np.ndarray:
+def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int) -> np.ndarray:
     """max |f| on the spheres |z| = rho of C^n, n >= 2, one per entry."""
     zeta = _directions(f.n, count)
     vals = _samples(f, zeta, rho)
     if not np.all(np.isfinite(vals)):
         raise MaximizationError("maximum-modulus search failed")
     best = vals.max(axis=1)
-    if not refine:
-        return best
     top = np.argsort(vals, axis=1)[:, -_STARTS:]
     peaks, peak_vals = _sphere_ascent(
         f, (rho[:, None, None] * zeta[top]).reshape(-1, f.n),
@@ -437,7 +435,7 @@ def _circle_peaks(f: HoloPoly, circle: Callable, phis: np.ndarray,
     return out
 
 
-def _aligned_max(f: HoloPoly, rho: np.ndarray, refine: bool) -> np.ndarray:
+def _aligned_max(f: HoloPoly, rho: np.ndarray) -> np.ndarray:
     """max over s >= 0, |s| = 1 of sum |c_a| rho^|a| s^a, n <= 2: max |f|
     on |z| = rho if f is phase-alignable, an upper bound otherwise.  On C^2
     it is the peak of g = sum |c_a| z^a on the real circle rho (cos, sin),
@@ -449,12 +447,12 @@ def _aligned_max(f: HoloPoly, rho: np.ndarray, refine: bool) -> np.ndarray:
                        endpoint=False)
     ray = lambda phi: np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     vals = _samples(g, ray(phis), rho)
-    return (_circle_peaks(g, lambda phi: rho[:, None, None] * ray(phi),
-                          phis, vals) if refine else vals.max(axis=1))
+    return _circle_peaks(g, lambda phi: rho[:, None, None] * ray(phi),
+                         phis, vals)
 
 
 def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
-                rs: np.ndarray, refine: bool) -> np.ndarray:
+                rs: np.ndarray) -> np.ndarray:
     """max |f| over the geodesic balls of radii rs (positive) about center."""
     if f.n != model.n:
         raise DomainError("polynomial and model dimension differ")
@@ -467,15 +465,13 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
             return _monomial_max(f, rho)
         e = f._exponents  # alignable: e_t - e_0 linearly independent
         if f.n > 2 or np.linalg.matrix_rank(e[1:] - e[0]) < k - 1:
-            return _sphere_max(f, rho, 480 * f.n, refine)
-        out = _aligned_max(f, rho, refine)
+            return _sphere_max(f, rho, 480 * f.n)
+        out = _aligned_max(f, rho)
     else:
         circle = geodesic_circle(model, center, rs)
         count = max(720, 16 * max(f.degree, 1))
         phis = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-        vals = np.abs(f.eval(circle(phis)))
-        out = (_circle_peaks(f, circle, phis, vals) if refine
-               else vals.max(axis=1))
+        out = _circle_peaks(f, circle, phis, np.abs(f.eval(circle(phis))))
     if not np.all(np.isfinite(out)) or np.any(out < 0):
         raise MaximizationError("maximum-modulus search failed")
     return out
@@ -501,8 +497,7 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
 
 
 def growth_curve(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
-                 radii: Sequence[float] = (), *,
-                 refine: bool = True) -> GrowthCurve:
+                 radii: Sequence[float] = ()) -> GrowthCurve:
     """max |f| over the geodesic balls about center, at increasing radii.
 
     center (n = 1 only) defaults to the origin, as does None.
@@ -512,8 +507,6 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
     ascents of all radii run as one batch (spheres climb again from each
     other radius's best direction), and off-center balls take
     closed-form circles or share one exp-map integration.
-    refine=False returns the best samples: with a fixed direction set the
-    bias is nearly scale-independent, good enough for slope fits.
     """
     rs = np.asarray(radii, dtype=float)
     if rs.ndim != 1 or rs.size == 0:
@@ -521,7 +514,7 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
     if np.any(rs <= 0) or np.any(np.diff(rs) <= 0):
         raise DomainError("radii must be positive and strictly increasing")
     center = complex(center or 0)
-    vals = _max_moduli(model, f, center, rs, refine)
+    vals = _max_moduli(model, f, center, rs)
     drop = vals[1:] < vals[:-1] * (1.0 - 1e-9)
     if np.any(drop):
         raise MaximizationError(
@@ -612,23 +605,20 @@ def order_at_infinity(curve: GrowthCurve) -> float:
     return s_outer
 
 
-def probe_order(model: RadialKahlerModel, f: HoloPoly,
-                top: float = 200.0) -> float:
-    """order_at_infinity on 24 radii in (100, 1e4), far enough out that
-    lower-order terms stop biasing it, or, where M overflows there (or
-    top >= 1e4), in (top/100, top), where exponential growth reads as
-    infinite sooner."""
-    for hi in (1e4, top) if top < 1e4 else (top,):
-        try:
-            with np.errstate(all="ignore"):
-                curve = growth_curve(model, f, 0, np.geomspace(
-                    hi / 100.0, hi, 24), refine=False)
-            if np.all(np.isfinite(curve.log_values)):
-                return order_at_infinity(curve)
-        except MaximizationError:
-            pass
-    raise MaximizationError(
-        "max modulus overflows in every order probe; pass d explicitly")
+def growth_order(model: RadialKahlerModel, f: HoloPoly) -> float:
+    """The order d of f in O_d, deg f * model.rho_order: M_f(r) = max |f| on
+    |z| = rho(r) grows like rho^deg f, and log rho / log r tends to
+    rho_order.  Constants have order 0.  DomainError on a compact model
+    and, asking for d, where rho_order is nan or inf."""
+    if math.isfinite(model.r_max):
+        raise DomainError("order at infinity needs a noncompact model")
+    if f.degree == 0:
+        return 0.0
+    if not math.isfinite(model.rho_order):
+        what = ("diverges" if math.isinf(model.rho_order)
+                else f"is not resolved on the {model.profile.name} chart")
+        raise DomainError(f"order at infinity {what}; pass d explicitly")
+    return f.degree * model.rho_order
 
 
 def necessity_deficit(model: RadialKahlerModel, r_grid) -> float:
@@ -660,8 +650,8 @@ def homogeneity_check(model: RadialKahlerModel, f: HoloPoly, K: float,
 
     x runs over the shell B(0, Kr) minus B(0, r) along rays, y over the
     radial segment from the origin to x.  Decays as r grows when f is
-    asymptotically homogeneous of order d.  Raises DomainError when the
-    products overflow.
+    asymptotically homogeneous of order d (default growth_order(model, f)).
+    Raises DomainError when the products overflow.
     """
     if math.isfinite(model.r_max):
         raise DomainError("homogeneity checks need a noncompact model")
@@ -670,9 +660,7 @@ def homogeneity_check(model: RadialKahlerModel, f: HoloPoly, K: float,
     if r <= 0:
         raise DomainError("need r > 0")
     if d is None:
-        d = probe_order(model, f, max(200.0, 1.2 * K * r))
-    if math.isinf(d):
-        raise DomainError("order at infinity is infinite; f is not in O_d")
+        d = growth_order(model, f)
     if d <= 0:
         raise DomainError("order at infinity must be positive")
 

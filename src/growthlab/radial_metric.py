@@ -102,6 +102,9 @@ class RadialKahlerModel:
     kind: str
     r_max: float
     conjugate_radius: float
+    # lim r / (rho lam) = lim d log rho / d log r as r -> inf: a polynomial
+    # f has order deg f * rho_order; 0 on a bounded chart, nan with no limit
+    rho_order: float
     # radial maps and circles on arrays, no domain checks: closed forms or
     # the table
     f_r_of_rho: Callable
@@ -160,7 +163,7 @@ def _flat_model(n: int) -> RadialKahlerModel:
         rho_max=math.inf, name="flat")
     return RadialKahlerModel(
         n=n, profile=prof, kind="flat", r_max=math.inf,
-        conjugate_radius=math.inf,
+        conjugate_radius=math.inf, rho_order=1.0,
         f_r_of_rho=lambda rho: rho,
         f_rho_of_r=lambda r: r,
         f_curvature=lambda r: 0.0 * r,
@@ -177,7 +180,7 @@ def _cigar_model(n: int) -> RadialKahlerModel:
     prof = RadialProfile(lam=lam, rho_max=math.inf, name="cigar")
     return RadialKahlerModel(
         n=n, profile=prof, kind="cigar", r_max=math.inf,
-        conjugate_radius=math.inf,
+        conjugate_radius=math.inf, rho_order=math.inf,  # rho = sinh r
         f_r_of_rho=np.arcsinh,
         f_rho_of_r=np.sinh,
         f_curvature=lambda r: 2.0 / np.cosh(r) ** 2,
@@ -212,7 +215,7 @@ def _space_form(n: int, kappa: float, s: float) -> RadialKahlerModel:
                          name=f"{kind}(kappa={kappa:g})")
     return RadialKahlerModel(
         n=n, profile=prof, kind=kind, r_max=r_max, conjugate_radius=r_max,
-        params=(kappa,),
+        rho_order=0.0 if s > 0 else math.nan, params=(kappa,),
         f_r_of_rho=lambda rho: 2.0 * atan(rho) / sk,
         f_rho_of_r=rho_of_r,
         f_curvature=lambda r: -s * kappa + 0.0 * r,
@@ -416,8 +419,8 @@ def _gauss(lam: Callable, a, b):
 
 
 def _chart(lam: Callable, knots: np.ndarray):
-    """r(rho), its inverse and the knots kept, from one table of r at the
-    knots.
+    """r(rho), its inverse, the knots kept and r / (rho lam) at the last
+    two, from one table of r at the knots.
 
     Panels are integrated by the Gauss-Legendre rule and a point adds its
     partial panel.  The table ends where lam or r stops being finite or r
@@ -429,6 +432,8 @@ def _chart(lam: Callable, knots: np.ndarray):
             [[0.0], np.cumsum(_gauss(lam, knots[:-1], knots[1:]))])
         ok = np.isfinite(r_k) & np.isfinite(lam_k) & (lam_k > 0)
         ok[1:] &= np.diff(r_k) > 0
+        # one division at a time: rho lam overflows on growing profiles
+        ratio = r_k / knots / lam_k
     n = ok.size if ok.all() else int(np.argmin(ok))
     if n < 2:
         raise DomainError("lam must be positive and finite near rho = 0")
@@ -465,7 +470,7 @@ def _chart(lam: Callable, knots: np.ndarray):
                  f"{_NEWTON_CAP} Newton steps at some r", BudgetError)
         return rho
 
-    return r_of_rho, rho_of_r, knots
+    return r_of_rho, rho_of_r, knots, ratio[n - 2:n].tolist()
 
 
 def _g_panels(lam: Callable, knots: np.ndarray) -> Callable:
@@ -518,7 +523,10 @@ def _tabulated_maps(profile: RadialProfile):
     Circles integrate the exp map with the same (log lam)'/rho.
     """
     lam, d1, d2 = profile.lam, profile.d_lam, profile.d2_lam
-    r_of_rho, rho_of_r, knots = _chart(lam, _graded(profile.rho_max))
+    r_of_rho, rho_of_r, knots, ends = _chart(lam, _graded(profile.rho_max))
+    # rho_order: r / (rho lam) at the last two knots of an infinite chart
+    lo, hi = (0.0, 0.0) if math.isfinite(profile.rho_max) else ends
+    beta = hi if abs(hi - lo) <= 1e-8 * hi else math.nan
     if d1 is not None and d2 is not None:
         def derivs(rho):
             lv, pos = lam(rho), rho > 0
@@ -541,7 +549,7 @@ def _tabulated_maps(profile: RadialProfile):
         return _shooting.circle_interpolator(
             lam, lambda rho: derivs(rho)[0], center, rs)
 
-    return dict(f_r_of_rho=r_of_rho, f_rho_of_r=rho_of_r,
+    return dict(f_r_of_rho=r_of_rho, f_rho_of_r=rho_of_r, rho_order=beta,
                 f_curvature=curvature, f_hessian=hessian, f_circle=circle)
 
 

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from growthlab import (builtin_model, closed_form_convexifier,
                        comparison_ode, dim_bound_from_h, dim_poly_space,
-                       distance_from_origin, exp_growth_bound,
+                       distance_from_origin, exp_growth_bound, growth,
                        load_profile_table, model_from_profile, model_hessian,
                        power_decay_regimes)
 from growthlab.cli import (SUITES, _CLOSED_H, _jsonable, main, parse_complex,
@@ -340,9 +340,8 @@ def test_out_of_range_radii_make_one_error_line(capsys):
 
 @pytest.mark.parametrize("f", ["z^2+z", "z^5+z"])
 def test_monotonicity_exponential_growth_asks_for_d(capsys, f):
-    # the outer order probe overflows; the moderate window reads z^2 + z
-    # as exponential growth, and overflows on z^5 + z too: either way one
-    # stderr line asking for d, exit 2, no warnings
+    # rho = sinh r on the cigar, so every nonconstant f has infinite
+    # order: one stderr line asking for d, exit 2, no warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["monotonicity", "--model", "cigar", "--f", f,
@@ -355,13 +354,47 @@ def test_monotonicity_exponential_growth_asks_for_d(capsys, f):
 @pytest.mark.parametrize("f, d", [("100+z^2", 2), ("z+0.01z^3", 3)])
 def test_monotonicity_polynomial_order_from_outer_window(tmp_path, f, d):
     # large lower-order terms steepen log M on the moderate window (2, 200);
-    # the order is read on (100, 1e4), where it has settled
+    # the order is deg f on the flat model, whatever the lower terms
     out = tmp_path / "r.json"
     code = main(["monotonicity", "--model", "flat", "--f", f,
                  "--radii", "0.5:20:12", "--json", str(out)])
     assert code == 0
     witness = json.loads(out.read_text())["checks"][0]["witness"]
     assert witness["d"] == pytest.approx(d, abs=1e-3)
+
+
+@pytest.mark.parametrize("f", ["1000+z", "1000000+z"])
+def test_monotonicity_order_ignores_a_large_constant(tmp_path, f):
+    # the slope of log(1000 + r) still rises at r = 1e4, so a slope fit
+    # there reads exponential growth; the order is deg f = 1
+    out = tmp_path / "r.json"
+    code = main(["monotonicity", "--model", "flat", "--f", f,
+                 "--radii", "0.5:20:12", "--json", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["checks"][0]["witness"]["d"] == 1
+
+
+def test_homogeneity_large_constant_gets_a_verdict(capsys):
+    # 1000000 + z is in O_1 but far from homogeneous at r = 100: a failed
+    # check, not a usage error
+    assert main(["homogeneity", "--model", "flat", "--f", "1000000+z",
+                 "--K", "2", "--radii", "100"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_monotonicity_default_order_takes_one_curve(monkeypatch, capsys):
+    # without --d the only max-modulus pass is the checked curve itself
+    calls = []
+    inner = growth._max_moduli
+
+    def counted(*args):
+        calls.append(args[3].size)
+        return inner(*args)
+
+    monkeypatch.setattr(growth, "_max_moduli", counted)
+    assert main(["monotonicity", "--model", "flat", "--f", "100+z^2",
+                 "--radii", "0.5:20:12"]) == 0
+    assert calls == [12]
 
 
 def test_curvature_table(tmp_path):
@@ -605,6 +638,8 @@ def test_lab_commands_load_no_scipy(tmp_path):
          "--f", "z+z^3", "--center=0.3+0.1i", "--radii", "0.2:1.2:5",
          "--h", "auto"],
         ["monotonicity", "--model", "flat", "--f", "z^2+z",
+         "--radii", "0.5:20:12"],
+        ["monotonicity", "--model", "flat", "--f", "1000+z",
          "--radii", "0.5:20:12"],
         ["necessity", "--model", "table", "--table", table],
         ["homogeneity", "--model", "flat", "--f", "z^2+z",

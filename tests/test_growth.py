@@ -28,12 +28,12 @@ from growthlab.growth import (
     _sphere_ascent,
     cone_exponent,
     growth_curve,
+    growth_order,
     homogeneity_check,
     max_modulus,
     monotonicity_check,
     necessity_deficit,
     order_at_infinity,
-    probe_order,
     separation_eigenvalue,
     three_circle_check,
 )
@@ -381,7 +381,7 @@ def test_alignable_c2_matches_sphere_ascent(f, name, lo, hi):
     radii = np.geomspace(lo, hi, 7)
     got = growth_curve(model, f, 0, radii).values
     rho = np.asarray(rho_of_r(model, radii))
-    ref = growth._sphere_max(f, rho, 960, True)
+    ref = growth._sphere_max(f, rho, 960)
     assert np.all(got >= ref * (1.0 - 1e-12)), got / ref - 1.0
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-12, got / ref - 1.0
 
@@ -425,7 +425,7 @@ def test_aligned_sum_bounds_other_supports(name):
                 break
         f = HoloPoly(2, {a: complex(*rng.normal(size=2)) for a in exps})
         got = growth_curve(model, f, 0, radii).values
-        bound = growth._aligned_max(f, rho, True)
+        bound = growth._aligned_max(f, rho)
         assert np.all(got <= bound * (1.0 + 1e-12)), (exps, got / bound)
 
 
@@ -710,6 +710,70 @@ def test_order_validation():
                                        np.array([1.0, 2.0, 150.0])))
 
 
+def _conical(a):
+    return model_from_profile(RadialProfile(
+        lam=lambda rho: (1.0 + rho * rho) ** (-0.5 * a), rho_max=math.inf,
+        name=f"cone a={a:g}"))
+
+
+def test_growth_order_on_builtin_models():
+    assert growth_order(FLAT, HoloPoly(1, {3: 1.0, 0: 1e6})) == 3.0
+    assert growth_order(FLAT2, HoloPoly(2, {(2, 1): 1.0, (1, 0): 5.0})) == 3.0
+    assert growth_order(HYPER, HoloPoly(1, {4: 1.0})) == 0.0
+    # rho = sinh r: infinite order, except for constants (no 0 * inf)
+    with pytest.raises(DomainError, match="d explicitly"):
+        growth_order(CIGAR, HoloPoly(1, {1: 1.0}))
+    assert growth_order(CIGAR, HoloPoly(1, {0: 3.0})) == 0.0
+    with pytest.raises(DomainError, match="noncompact"):
+        growth_order(SPHERE, HoloPoly(1, {1: 1.0}))
+
+
+@pytest.mark.parametrize("a, beta", [(0.25, 4 / 3), (0.5, 2.0), (0.75, 4.0)])
+def test_growth_order_of_conical_profiles(a, beta):
+    # lam = (1 + rho^2)^(-a/2): r ~ rho^(1-a) / (1 - a), so beta = 1/(1 - a)
+    model = _conical(a)
+    assert model.rho_order == pytest.approx(beta, rel=1e-12)
+    assert growth_order(model, HoloPoly(1, {2: 1.0, 1: 1.0})) == \
+        pytest.approx(2.0 * beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("coeffs, beta", [([1.0, 1.0], 1 / 3),
+                                          ([1.0, 0.0, 1.0], 1 / 5)])
+def test_growth_order_of_conformal_poly(coeffs, beta):
+    # lam ~ rho^(2k): r ~ rho^(2k+1) / (2k+1), so beta = 1/(2k+1); the
+    # k = 2 chart ends where lam overflows, before rho lam would
+    model = builtin_model("conformal_poly", coeffs=coeffs)
+    assert growth_order(model, HoloPoly(1, {1: 1.0})) == \
+        pytest.approx(beta, rel=1e-12)
+
+
+def test_bare_profiles_order_like_their_builtins():
+    bare_hyper = model_from_profile(HYPER.profile)
+    assert bare_hyper.rho_order == HYPER.rho_order == 0.0
+    f = HoloPoly(1, {2: 1.0})
+    assert growth_order(bare_hyper, f) == growth_order(HYPER, f) == 0.0
+    # the bare cigar's r / (rho lam) ~ asinh(rho) grows without a limit
+    # the chart resolves: a DomainError, as the built-in cigar's inf is
+    assert math.isnan(BARE_CIGAR.rho_order)
+    for model in (BARE_CIGAR, CIGAR):
+        with pytest.raises(DomainError, match="d explicitly"):
+            growth_order(model, f)
+    assert growth_order(BARE_CIGAR, HoloPoly(1, {0: 1.0})) == 0.0
+
+
+@pytest.mark.parametrize("model", [FLAT, _conical(0.5)],
+                         ids=["flat", "cone"])
+def test_order_fit_approaches_growth_order(model):
+    # the fitted slope reads deg f * beta within its lower-order bias,
+    # which shrinks as the window moves out
+    f = HoloPoly(1, {2: 1.0, 1: 1.0})
+    want = growth_order(model, f)
+    errs = [abs(order_at_infinity(growth_curve(model, f, 0, radii)) - want)
+            for radii in (np.geomspace(1, 1000, 40),
+                          np.geomspace(100, 1e4, 24))]
+    assert errs[1] < errs[0] <= 1e-2 * want
+
+
 # ---------------------------------------------------------------------------
 # necessity deficit
 
@@ -762,12 +826,28 @@ def test_homogeneity_flat_perturbed():
 
 
 def test_homogeneity_order_ignores_large_lower_terms():
-    # log M of 100 + z^2 steepens on the moderate window (2, 200), which
-    # read as exponential growth before the probe looked at (100, 1e4)
+    # log M of 100 + z^2 steepens on the moderate window (2, 200), which a
+    # slope fit there reads as exponential growth; the order is deg f
     f = HoloPoly(1, {0: 100.0, 2: 1.0})
-    assert probe_order(FLAT, f) == pytest.approx(2.0, abs=1e-3)
+    assert growth_order(FLAT, f) == 2.0
     v100 = homogeneity_check(FLAT, f, 2.0, 100.0)
     assert homogeneity_check(FLAT, f, 2.0, 400.0) < v100 <= 0.05
+
+
+def test_homogeneity_default_order_takes_one_curve(monkeypatch):
+    # the default d is arithmetic: the only max-modulus pass is the
+    # denominator M_f(r)
+    calls = []
+    inner = growth._max_moduli
+
+    def counted(*args):
+        calls.append(args[3].size)
+        return inner(*args)
+
+    monkeypatch.setattr(growth, "_max_moduli", counted)
+    f = HoloPoly(1, {0: 100.0, 2: 1.0})
+    assert homogeneity_check(FLAT, f, 2.0, 100.0) <= 0.05
+    assert calls == [1]
 
 
 def test_homogeneity_two_vars():
