@@ -4,6 +4,7 @@ functions on rotationally invariant Kahler model metrics."""
 from .errors import (
     BlowDownError,
     BudgetError,
+    Check,
     ConjugatePointError,
     DomainError,
     GrowthLabError,
@@ -43,13 +44,13 @@ from .growth import (
     ConvexityReport,
     GrowthCurve,
     HoloPoly,
-    MonotonicityReport,
     cone_exponent,
     growth_curve,
     growth_order,
     homogeneity_check,
     max_modulus,
     monotonicity_check,
+    necessity_check,
     necessity_deficit,
     order_at_infinity,
     separation_eigenvalue,

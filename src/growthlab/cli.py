@@ -18,8 +18,9 @@ Radii grids are ``start:stop:count`` (logarithmic unless
 
 Every run can write a JSON report (``--json``); the commands that
 tabulate a curve (all but dimension and suite) also write it as CSV
-(``--csv``).  Exit status: 0 when all selected checks pass, 1 when a
-check reports a mathematical violation (inverted by
+(``--csv``).  A check passes when its margin, the signed distance to
+its threshold, is >= 0.  Exit status: 0 when all selected checks pass,
+1 when a check reports a violation or a failure (inverted by
 ``--expect-violation``: a detected violation is then the desired
 outcome), 2 on usage or validation errors.  ``--config FILE`` supplies
 defaults from JSON; explicit flags win.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -52,7 +54,7 @@ from .dimension import (
     exp_growth_bound,
     power_decay_regimes,
 )
-from .errors import DomainError, GrowthLabError
+from .errors import Check, DomainError, GrowthLabError
 from .growth import (
     HoloPoly,
     cone_exponent,
@@ -60,7 +62,7 @@ from .growth import (
     growth_order,
     homogeneity_check,
     monotonicity_check,
-    necessity_deficit,
+    necessity_check,
     separation_eigenvalue,
     three_circle_check,
 )
@@ -223,7 +225,8 @@ def resolve_h(spec: str, model, radii: np.ndarray):
     if model.kind in _CLOSED_H and unit:
         return closed_form_convexifier(_CLOSED_H[model.kind])
     u = make_supersolution(lambda r: model_hessian(model, r))
-    hi = min(1.25 * float(np.max(radii)), 0.99 * model.conjugate_radius)
+    hi = min(1.25 * float(np.max(radii)), 0.99 * model.conjugate_radius,
+             np.nextafter(model.r_max, 0))
     return solve_convexifier(u, r_end=hi)
 
 
@@ -263,14 +266,6 @@ def _jsonable(obj):
     return obj
 
 
-def _check(name: str, passed: bool, tol, witness: dict,
-           verdict: str = "fail") -> dict:
-    """A check record; ``verdict`` is what a failed check reports."""
-    return {"name": name, "passed": bool(passed),
-            "verdict": "pass" if passed else verdict,
-            "tolerance": tol, "witness": witness}
-
-
 def _echo_config(args) -> dict:
     skip = {"command", "csv", "json", "config"}
     return {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
@@ -285,17 +280,17 @@ def finish(args, checks: list, table, t0: float) -> int:
     if table is not None and args.csv:
         write_csv(args.csv, *table)
         csv_files.append(args.csv)
-    raw_ok = all(c["passed"] for c in checks)
+    raw_ok = all(c.passed for c in checks)
     expect = bool(getattr(args, "expect_violation", False))
     ok = (not raw_ok) if expect else raw_ok
     for c in checks:
-        line = f"{c['name']}: {c['verdict']}"
+        line = f"{c.name}: {c.verdict}"
         keys = [k for k in ("min_second_difference", "worst", "value",
                             "fitted", "min_residual", "bound", "spread")
-                if k in c["witness"]]
+                if k in c.witness]
         if keys:
             line += "  (" + ", ".join(
-                f"{k}={c['witness'][k]}" for k in keys) + ")"
+                f"{k}={c.witness[k]}" for k in keys) + ")"
         print(line)
     if expect:
         print("violation-as-expected" if ok
@@ -305,7 +300,9 @@ def finish(args, checks: list, table, t0: float) -> int:
         "command": args.command,
         "expected_violation": expect,
         "config": _echo_config(args),
-        "checks": _jsonable(checks),
+        "checks": _jsonable([
+            {"name": c.name, "passed": c.passed, "verdict": c.verdict,
+             "margin": c.margin, "witness": c.witness} for c in checks]),
         "csv_files": csv_files,
         "all_passed": ok,
         "elapsed_s": time.perf_counter() - t0,
@@ -325,10 +322,10 @@ def _cmd_curvature(args):
     radii = parse_radii(args.radii, args.spacing)
     kurv = np.asarray(radial_curvature(model, radii), dtype=float)
     hess = np.asarray(model_hessian(model, radii), dtype=float)
-    checks = [_check("curvature-table", True, None,
-                     {"H_min": float(kurv.min()), "H_max": float(kurv.max()),
-                      "H_origin": float(curvature_at_origin(model)),
-                      "samples": int(radii.size)})]
+    checks = [Check("curvature-table", 0.0,
+                    {"H_min": float(kurv.min()), "H_max": float(kurv.max()),
+                     "H_origin": float(curvature_at_origin(model)),
+                     "samples": int(radii.size)})]
     return checks, (["r", "H", "u"], list(zip(radii.tolist(), kurv.tolist(),
                                               hess.tolist())))
 
@@ -350,14 +347,9 @@ def _cmd_ode(args):
     hi = min(args.r_end, 0.995 * u.r_max)
     grid = np.geomspace(args.grid_lo, hi, 400)
     rep = verify_supersolution(u, g, grid, tol=args.tol)
-    witness = {"min_residual": rep.min_residual, "argmin_r": rep.argmin_r,
-               "origin_residual": u.origin_residual}
-    if u.blow_down is not None:
-        witness["blow_down_r"] = u.blow_down
     uu = np.asarray(u(grid), dtype=float)
-    return ([_check(f"ode {g.tag}", rep.passed, args.tol, witness)],
-            (["r", "u", "residual"], list(zip(grid.tolist(), uu.tolist(),
-                                              rep.residuals.tolist()))))
+    return [rep], (["r", "u", "residual"], list(zip(
+        grid.tolist(), uu.tolist(), rep.residuals.tolist())))
 
 
 def _cmd_three_circle(args):
@@ -371,12 +363,9 @@ def _cmd_three_circle(args):
     rep = three_circle_check(curve, h, tol=args.tol)
     pad = [""] + [float(x) for x in rep.second_differences] + [""]
     rows = [(float(r), float(hr), float(m), float(lm), sd)
-            for r, hr, m, lm, sd in zip(curve.radii, rep.h_values,
+            for r, hr, m, lm, sd in zip(curve.radii, h(curve.radii),
                                         curve.values, curve.log_values, pad)]
-    checks = [_check("three-circle", rep.verdict == "pass", args.tol,
-                     {"min_second_difference": rep.min_second_difference,
-                      "argmin_r": rep.argmin_r}, "violation")]
-    return checks, (["r", "h", "M", "logM", "second_difference"], rows)
+    return [rep], (["r", "h", "M", "logM", "second_difference"], rows)
 
 
 def _cmd_monotonicity(args):
@@ -394,15 +383,12 @@ def _cmd_monotonicity(args):
     curve = growth_curve(model, f, 0, radii)
     rep = monotonicity_check(curve, h, d, direction=args.direction,
                              tol=args.tol)
-    slack = curve.log_values - d * rep.h_values
-    checks = [_check(f"monotonicity {args.direction} d={d:g}",
-                     rep.verdict == "pass", args.tol,
-                     {"worst": rep.worst, "argworst_r": rep.argworst_r,
-                      "d": d}, "violation")]
-    return checks, (["r", "h", "M", "logM", "t"],
-                    list(zip(radii.tolist(), rep.h_values.tolist(),
-                             curve.values.tolist(),
-                             curve.log_values.tolist(), slack.tolist())))
+    hv = np.asarray(h(radii), dtype=float)
+    slack = curve.log_values - d * hv
+    return [rep], (["r", "h", "M", "logM", "t"],
+                   list(zip(radii.tolist(), hv.tolist(),
+                            curve.values.tolist(),
+                            curve.log_values.tolist(), slack.tolist())))
 
 
 def _necessity_grid(model) -> np.ndarray:
@@ -415,14 +401,9 @@ def _cmd_necessity(args):
     model = build_model(args)
     grid = (parse_radii(args.radii, "linear") if args.radii
             else _necessity_grid(model))
-    fitted = necessity_deficit(model, grid)
-    expected = float(curvature_at_origin(model)) / 12.0
-    err = abs(fitted - expected)
-    ok = err <= max(args.rtol * abs(expected), args.atol)
+    check = necessity_check(model, grid, args.rtol, args.atol)
     ratio = np.asarray(rho_of_r(model, grid), dtype=float) / grid
-    checks = [_check("necessity-deficit", ok, args.rtol,
-                     {"fitted": fitted, "expected": expected, "error": err})]
-    return checks, (["r", "ratio"], list(zip(grid.tolist(), ratio.tolist())))
+    return [check], (["r", "ratio"], list(zip(grid.tolist(), ratio.tolist())))
 
 
 def _cmd_homogeneity(args):
@@ -432,9 +413,8 @@ def _cmd_homogeneity(args):
     radii = parse_radii(args.radii, args.spacing)
     values = [float(homogeneity_check(model, f, args.K, float(r), d=args.d))
               for r in radii]
-    ok = all(v <= args.tol for v in values)
-    checks = [_check(f"homogeneity K={args.K:g}", ok, args.tol,
-                     {"value": max(values), "values": values})]
+    checks = [Check(f"homogeneity K={args.K:g}", args.tol - np.max(values),
+                    {"value": max(values), "values": values})]
     return checks, (["r", "value"], list(zip(radii.tolist(), values)))
 
 
@@ -443,8 +423,8 @@ def _cmd_dimension(args):
     if args.regime == "poly":
         bound = dim_poly_space(args.n, args.d)
         print(f"bound {bound}")
-        return [_check("dimension poly", True, None,
-                       {"bound": bound, "n": args.n, "d": args.d})], None
+        return [Check("dimension poly", 0.0,
+                      {"bound": bound, "n": args.n, "d": args.d})], None
     if args.regime == "power-decay":
         b = power_decay_regimes(args.A, args.eps, args.d, args.n)
     elif args.regime == "exp-growth":
@@ -460,7 +440,7 @@ def _cmd_dimension(args):
         "" if args.regime == "exp-growth" else f" [{b.regime}]")
     witness = {"bound": b.bound, "regime": b.regime, "d_eff": b.d_eff,
                **dict(b.params)}
-    return [_check(name, True, None, witness)], None
+    return [Check(name, 0.0, witness)], None
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +469,8 @@ def _suite_sharpness() -> list:
         curve = growth_curve(model, HoloPoly(1, coeffs), radii=radii)
         t = curve.log_values - d * np.asarray(h(radii), dtype=float)
         spread = float(np.ptp(t))
-        checks.append(_check(f"sharpness {name}", spread <= tol, tol,
-                             {"spread": spread, "d": d}))
+        checks.append(Check(f"sharpness {name}", tol - spread,
+                            {"spread": spread, "d": d}))
     return checks
 
 
@@ -506,21 +486,18 @@ def five_profiles():
 
 
 def _suite_necessity() -> list:
-    checks = []
     hyper = builtin_model("hyperbolic")
     curve = growth_curve(hyper, HoloPoly(1, {(1,): 1.0}),
                          radii=np.array([0.5, 1.0, 1.5]))
     rep = three_circle_check(curve, closed_form_convexifier("nonneg"))
-    detected = rep.verdict == "violation" and rep.min_second_difference < -1e-3
-    checks.append(_check("necessity hyperbolic violation", detected, 1e-3,
-                         {"min_second_difference": rep.min_second_difference}))
-    for name, model in five_profiles():
-        fitted = necessity_deficit(model, _necessity_grid(model))
-        expected = float(curvature_at_origin(model)) / 12.0
-        ok = abs(fitted - expected) <= max(0.05 * abs(expected), 1e-3)
-        checks.append(_check(f"necessity deficit {name}", ok, 0.05,
-                             {"fitted": fitted, "expected": expected}))
-    return checks
+    msd = rep.min_second_difference
+    # detected: the three-circle check fails, by more than 1e-3
+    return [Check("necessity hyperbolic violation",
+                  np.min([-rep.margin, -1e-3 - msd]),
+                  {"min_second_difference": msd})] + [
+        dataclasses.replace(necessity_check(model, _necessity_grid(model)),
+                            name=f"necessity deficit {name}")
+        for name, model in five_profiles()]
 
 
 def _suite_ode_catalog() -> list:
@@ -543,7 +520,7 @@ def _suite_ode_catalog() -> list:
         hp = np.asarray(h.h_prime(grid), dtype=float)
         hs = np.asarray(h.h_second(grid), dtype=float)
         pair_res = float(np.max(np.abs(0.5 * hs + hp * uu)))
-        ok = pair_res <= tol_res and u.origin_residual <= 1e-3
+        margins = [tol_res - pair_res, 1e-3 - u.origin_residual]
         witness = {"pair_residual": pair_res,
                    "origin_residual": u.origin_residual}
 
@@ -556,20 +533,20 @@ def _suite_ode_catalog() -> list:
         # the unit rows solve the Riccati equation of their bound exactly
         if tag != "power_decay":
             g = u.bound
-            rrep = verify_supersolution(u, g, grid, tol=tol_res)
+            min_res = verify_supersolution(u, g, grid).witness["min_residual"]
             solved = solve_riccati_equality(g, r_end=1.05 * hi)
             du = float(np.max(np.abs(
                 np.asarray(solved(grid), dtype=float) - uu)))
             dh = h_gap(solved)
-            ok = ok and abs(rrep.min_residual) <= tol_res \
-                and du <= tol_match and dh <= tol_match
-            witness.update({"min_residual": rrep.min_residual,
+            margins += [tol_res - abs(min_res), tol_match - du,
+                        tol_match - dh]
+            witness.update({"min_residual": min_res,
                             "solver_u_gap": du, "solver_h_gap": dh})
         else:
             dh = h_gap(u)
-            ok = ok and dh <= tol_match
+            margins.append(tol_match - dh)
             witness["solver_h_gap"] = dh
-        checks.append(_check(f"ode-catalog {name}", ok, tol_res, witness))
+        checks.append(Check(f"ode-catalog {name}", np.min(margins), witness))
     return checks
 
 
@@ -593,36 +570,33 @@ def _suite_monotonicity() -> list:
         radii = np.geomspace(lo, hi, 40)
         curve = growth_curve(model, HoloPoly(1, coeffs), radii=radii)
         rep = monotonicity_check(curve, h, d, direction=direction, tol=tol)
-        checks.append(_check(f"monotonicity {name}", rep.verdict == "pass",
-                             tol, {"worst": rep.worst,
-                                   "argworst_r": rep.argworst_r}))
+        checks.append(dataclasses.replace(rep, name=f"monotonicity {name}",
+                                          failure="fail"))
     return checks
 
 
 def _suite_homogeneity() -> list:
-    checks = []
     flat = builtin_model("flat")
     f = HoloPoly(1, {(2,): 1.0, (1,): 1.0})
     values = [float(homogeneity_check(flat, f, 2.0, r))
               for r in (100.0, 1000.0, 10000.0)]
-    ok = values[0] <= 0.05 and values[0] > values[1] > values[2]
-    checks.append(_check("homogeneity flat z^2+z K=2", ok, 0.05,
-                         {"values": values, "value": max(values)}))
     worst = 0.0
     for alpha in (0.0, 0.5, 1.0, 2.0, 7.0):
         for m in (2, 3, 4, 8):
             back = cone_exponent(separation_eigenvalue(alpha, m), m)
             worst = max(worst, abs(back - alpha))
     benchmark = separation_eigenvalue(1.0, 4)
-    checks.append(_check("homogeneity cone round-trip",
-                         worst <= 1e-12 and benchmark == 3.0, 1e-12,
-                         {"worst": worst, "first_eigenvalue_S3": benchmark}))
-    return checks
+    # the flat defect: at most 0.05 at r = 100, and decreasing in r
+    return [Check("homogeneity flat z^2+z K=2",
+                  np.min([0.05 - values[0], *-np.diff(values)]),
+                  {"values": values, "value": max(values)}),
+            Check("homogeneity cone round-trip",
+                  np.min([1e-12 - worst, 0.0 if benchmark == 3.0 else -1.0]),
+                  {"worst": worst, "first_eigenvalue_S3": benchmark})]
 
 
 def _suite_dimension() -> list:
     import itertools
-    checks = []
     worst = None
     for n in range(1, 5):
         for d in range(0, 11):
@@ -630,27 +604,26 @@ def _suite_dimension() -> list:
                         if sum(a) <= d)
             if dim_poly_space(n, d) != brute:
                 worst = (n, d)
-    checks.append(_check("dimension brute-force count", worst is None, None,
-                         {"first_mismatch": worst}))
     trivial = power_decay_regimes(0.05, 0.49, 0.7, 2)
     sharp = power_decay_regimes(0.05, 0.49, 2, 2)
-    ok = (trivial.regime == "trivial" and trivial.bound == 1
-          and sharp.regime == "sharp" and sharp.bound == 6)
-    checks.append(_check("dimension power-decay regimes", ok, None,
-                         {"trivial_bound": trivial.bound,
-                          "sharp_bound": sharp.bound,
-                          "bound": sharp.bound}))
+    ok = ((trivial.regime, trivial.bound, sharp.regime, sharp.bound)
+          == ("trivial", 1, "sharp", 6))
     p = dict(exp_growth_bound(0.18, 1, 1, 1.0).params)
     res = max(abs(2 * p["a"] ** 2 - p["a"] + 0.09),
               abs(2 * p["b"] ** 2 - p["b"] + 0.09))
-    ok = (res <= 1e-12 and abs(p["a"] - 0.38229) <= 1e-5
-          and abs(p["b"] - 0.11771) <= 1e-5)
-    checks.append(_check("dimension exp-growth roots", ok, 1e-12,
-                         {"a": p["a"], "b": p["b"], "residual": res}))
-    return checks
+    return [Check("dimension brute-force count",
+                  0.0 if worst is None else -1.0, {"first_mismatch": worst}),
+            Check("dimension power-decay regimes", 0.0 if ok else -1.0,
+                  {"trivial_bound": trivial.bound,
+                   "sharp_bound": sharp.bound, "bound": sharp.bound}),
+            Check("dimension exp-growth roots",
+                  np.min([1e-12 - res, 1e-5 - abs(p["a"] - 0.38229),
+                          1e-5 - abs(p["b"] - 0.11771)]),
+                  {"a": p["a"], "b": p["b"], "residual": res})]
 
 
-# the pinned bundles of `lab suite`: name -> () -> list of check records
+# the pinned bundles of `lab suite`: name -> () -> list of Checks; a
+# compound check takes the smallest margin of its parts (np.min keeps a nan)
 SUITES = {
     "sharpness": _suite_sharpness,
     "necessity": _suite_necessity,
@@ -663,11 +636,11 @@ SUITES = {
 
 def _cmd_suite(args):
     checks = SUITES[args.name]()
-    width = max(len(c["name"]) for c in checks)
+    width = max(len(c.name) for c in checks)
     print(f"{'check':<{width}}  verdict")
     for c in checks:
-        print(f"{c['name']:<{width}}  {c['verdict']}")
-    n_pass = sum(c["passed"] for c in checks)
+        print(f"{c.name:<{width}}  {c.verdict}")
+    n_pass = sum(c.passed for c in checks)
     print(f"{n_pass}/{len(checks)} passed")
     return checks, None
 

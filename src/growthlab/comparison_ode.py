@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _numdiff
-from .errors import BlowDownError, BudgetError, DomainError
+from .errors import BlowDownError, BudgetError, Check, DomainError
 
 _R0_CHECK = 1e-4    # normalization probe radius
 # budget per solve, in panel nodes summed over the rounds: points of g
@@ -129,11 +129,8 @@ class Convexifier:
         return self.h(r)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    min_residual: float
-    argmin_r: float
-    passed: bool
+@dataclass(frozen=True, kw_only=True)
+class ResidualReport(Check):
     residuals: np.ndarray = field(repr=False)
 
 
@@ -311,8 +308,12 @@ def verify_supersolution(u: Supersolution, g: CurvatureLowerBound,
     res = (du + 2.0 * np.asarray(u(rs), dtype=float) ** 2
            + 0.5 * np.asarray(g(rs), dtype=float))
     k = int(np.argmin(res))
-    return ResidualReport(min_residual=float(res[k]), argmin_r=float(rs[k]),
-                          passed=bool(res[k] >= -tol), residuals=res)
+    witness = {"min_residual": float(res[k]), "argmin_r": float(rs[k]),
+               "origin_residual": u.origin_residual}
+    if u.blow_down is not None:
+        witness["blow_down_r"] = u.blow_down
+    return ResidualReport(f"ode {getattr(g, 'tag', 'custom')}",
+                          float(res[k]) + tol, witness, residuals=res)
 
 
 # ---------------------------------------------------------------------------

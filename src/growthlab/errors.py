@@ -1,4 +1,5 @@
-"""Exception types shared across the laboratory."""
+"""Exception types and the verdict record shared across the laboratory."""
+from dataclasses import dataclass, field
 
 
 class GrowthLabError(Exception):
@@ -27,3 +28,25 @@ class MaximizationError(GrowthLabError, RuntimeError):
 
 class BudgetError(GrowthLabError, RuntimeError):
     """An iterative solve used up its evaluation budget."""
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named verdict: margin is the signed distance to its threshold.
+
+    A margin >= 0 passes; a negative or NaN one reports ``failure``,
+    "violation" for the paper's inequalities and "fail" for the lab's own
+    consistency checks.  Scalar measurements live in ``witness``.
+    """
+    name: str
+    margin: float
+    witness: dict = field(default_factory=dict)
+    failure: str = "fail"
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.margin >= 0 else self.failure
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"

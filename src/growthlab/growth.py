@@ -44,20 +44,21 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .comparison_ode import Convexifier
-from .errors import DomainError, MaximizationError
-from .radial_metric import RadialKahlerModel, geodesic_circle, rho_of_r
+from .errors import Check, DomainError, MaximizationError
+from .radial_metric import (RadialKahlerModel, curvature_at_origin,
+                            geodesic_circle, rho_of_r)
 
 __all__ = [
     "HoloPoly",
     "GrowthCurve",
     "ConvexityReport",
-    "MonotonicityReport",
     "max_modulus",
     "growth_curve",
     "three_circle_check",
     "monotonicity_check",
     "growth_order",
     "order_at_infinity",
+    "necessity_check",
     "necessity_deficit",
     "homogeneity_check",
     "cone_exponent",
@@ -164,29 +165,13 @@ class GrowthCurve:
         return np.log(self.values)
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    h_values: np.ndarray
+@dataclass(frozen=True, kw_only=True)
+class ConvexityReport(Check):
     second_differences: np.ndarray  # slope(r2,r3) - slope(r1,r2) per triple
-    min_second_difference: float
-    argmin_r: float
-    verdict: str  # "pass" | "violation"
 
     @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    h_values: np.ndarray
-    worst: float        # most violating signed slack; <= 0 means pass
-    argworst_r: float
-    verdict: str
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+    def min_second_difference(self) -> float:
+        return self.witness["min_second_difference"]
 
 
 # ---------------------------------------------------------------------------
@@ -541,17 +526,16 @@ def three_circle_check(curve: GrowthCurve, h: Convexifier,
     slopes = np.diff(logm) / dh
     defects = np.diff(slopes)
     thresholds = tol * (1.0 + np.abs(logm[1:-1]))
-    verdict = "pass" if np.all(defects >= -thresholds) else "violation"
     j = int(np.argmin(defects))
-    return ConvexityReport(h_values=hv, second_differences=defects,
-                           min_second_difference=float(defects[j]),
-                           argmin_r=float(curve.radii[j + 1]),
-                           verdict=verdict)
+    return ConvexityReport(
+        "three-circle", float(np.min(defects + thresholds)),
+        {"min_second_difference": float(defects[j]),
+         "argmin_r": float(curve.radii[j + 1])},
+        "violation", second_differences=defects)
 
 
 def monotonicity_check(curve: GrowthCurve, h: Convexifier, d: float,
-                       direction: str, tol: float = 1e-7
-                       ) -> MonotonicityReport:
+                       direction: str, tol: float = 1e-7) -> Check:
     """Is log M_f - d h nonincreasing / nondecreasing along the radii?"""
     if direction not in ("nonincreasing", "nondecreasing"):
         raise DomainError(f"unknown direction {direction!r}")
@@ -567,10 +551,10 @@ def monotonicity_check(curve: GrowthCurve, h: Convexifier, d: float,
     slack = tol * (1.0 + np.maximum(np.abs(logm[1:]), np.abs(logm[:-1])))
     signed = diffs - slack if direction == "nonincreasing" else -diffs - slack
     k = int(np.argmax(signed))
-    verdict = "pass" if signed[k] <= 0 else "violation"
-    return MonotonicityReport(h_values=hv, worst=float(signed[k]),
-                              argworst_r=float(curve.radii[k + 1]),
-                              verdict=verdict)
+    return Check(f"monotonicity {direction} d={d:g}", -float(signed[k]),
+                 {"worst": float(signed[k]),
+                  "argworst_r": float(curve.radii[k + 1]), "d": d},
+                 "violation")
 
 
 def order_at_infinity(curve: GrowthCurve) -> float:
@@ -642,6 +626,16 @@ def necessity_deficit(model: RadialKahlerModel, r_grid) -> float:
             f"grid too coarse for a stable fit (condition number {cond:.3g})")
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     return float(beta[1] / beta[0])
+
+
+def necessity_check(model: RadialKahlerModel, grid, rtol: float = 0.05,
+                    atol: float = 1e-3) -> Check:
+    """The fitted deficit against H(0)/12, within max(rtol |H(0)/12|, atol)."""
+    fitted = necessity_deficit(model, grid)
+    expected = float(curvature_at_origin(model)) / 12.0
+    err = abs(fitted - expected)
+    return Check("necessity-deficit", max(rtol * abs(expected), atol) - err,
+                 {"fitted": fitted, "expected": expected, "error": err})
 
 
 def homogeneity_check(model: RadialKahlerModel, f: HoloPoly, K: float,

@@ -63,8 +63,9 @@ def criterion(capfd):
 
 
 def _assert_suite(checks: list) -> None:
-    bad = [c["name"] for c in checks if not c["passed"]]
+    bad = [c.name for c in checks if not c.passed]
     assert not bad, f"failed checks: {bad}"
+    assert all(c.margin >= 0 for c in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,7 @@ def test_acceptance_1_sharpness(criterion) -> None:
         checks = SUITES["sharpness"]()
         assert len(checks) == 6
         _assert_suite(checks)
-        assert max(c["witness"]["spread"] for c in checks) <= 1e-6
+        assert max(c.witness["spread"] for c in checks) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +163,10 @@ def test_acceptance_5_ode_catalog(criterion) -> None:
         assert len(checks) == 6
         _assert_suite(checks)
         for c in checks:
-            assert c["witness"]["pair_residual"] <= 1e-8
-            if "solver_u_gap" in c["witness"]:
-                assert c["witness"]["solver_u_gap"] <= 1e-7
-            assert c["witness"]["solver_h_gap"] <= 1e-7
+            assert c.witness["pair_residual"] <= 1e-8
+            if "solver_u_gap" in c.witness:
+                assert c.witness["solver_u_gap"] <= 1e-7
+            assert c.witness["solver_h_gap"] <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,8 @@ def test_acceptance_7_decay_supersolution_sign(criterion) -> None:
             u = closed_form_supersolution("power_decay", A=A, eps=eps)
             g = curvature_bound("power_decay", A=A, eps=eps)
             rep = verify_supersolution(u, g, rs)
-            assert rep.min_residual >= 0.0, (A, eps, rep.min_residual)
+            min_res = rep.witness["min_residual"]
+            assert min_res >= 0.0, (A, eps, min_res)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +242,8 @@ def test_acceptance_9_homogeneity(criterion) -> None:
     with criterion(9, "homogeneity-at-scale"):
         checks = SUITES["homogeneity"]()
         _assert_suite(checks)
-        flat = next(c for c in checks if c["name"].startswith("homogeneity flat"))
-        values = flat["witness"]["values"]
+        flat = next(c for c in checks if c.name.startswith("homogeneity flat"))
+        values = flat.witness["values"]
         assert values[0] <= 0.05 and values[0] > values[1] > values[2]
         # flat benchmark: degree-d homogeneous harmonics on C^n = R^{2n}
         for n in (1, 2, 3):

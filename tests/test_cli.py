@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from growthlab import (builtin_model, closed_form_convexifier,
+from growthlab import (Check, builtin_model, closed_form_convexifier,
                        comparison_ode, dim_bound_from_h, dim_poly_space,
                        distance_from_origin, exp_growth_bound, growth,
                        load_profile_table, model_from_profile, model_hessian,
@@ -111,11 +111,25 @@ def test_flat_three_circle_exit_zero(capsys):
     assert code == 0
 
 
-def test_hyperbolic_violation_exit_one(capsys):
+def test_hyperbolic_violation_exit_one(tmp_path, capsys):
+    path = tmp_path / "r.json"
     code = main(["three-circle", "--model", "hyperbolic", "--f", "z",
-                 "--radii", "0.5:1.5:3", "--h", "logr"])
+                 "--radii", "0.5:1.5:3", "--h", "logr", "--json", str(path)])
     assert code == 1
     assert "violation" in capsys.readouterr().out
+    # the margin of the one triple: its second difference plus
+    # 1e-6 (1 + |log M|)
+    (check,) = json.loads(path.read_text())["checks"]
+    assert check["verdict"] == "violation" and check["margin"] < -0.1
+    assert check["margin"] == pytest.approx(
+        check["witness"]["min_second_difference"], abs=1e-5)
+
+
+def test_nan_margin_never_passes():
+    check = Check("x", float("nan"))
+    assert check.passed is False and check.verdict == "fail"
+    assert Check("x", 0.0).passed and Check("x", -0.0).passed
+    assert Check("x", -1e-300, failure="violation").verdict == "violation"
 
 
 def test_expect_violation_inverts(capsys):
@@ -242,7 +256,7 @@ def test_json_report_contents(tmp_path):
     assert rep["config"]["f"] == "z^2"
     (check,) = rep["checks"]
     assert check["verdict"] == "pass"
-    assert check["tolerance"] == 1e-6
+    assert check["margin"] >= 0
     assert "min_second_difference" in check["witness"]
     assert rep["elapsed_s"] >= 0
 
@@ -374,12 +388,17 @@ def test_monotonicity_order_ignores_a_large_constant(tmp_path, f):
     assert json.loads(out.read_text())["checks"][0]["witness"]["d"] == 1
 
 
-def test_homogeneity_large_constant_gets_a_verdict(capsys):
+def test_homogeneity_large_constant_gets_a_verdict(tmp_path, capsys):
     # 1000000 + z is in O_1 but far from homogeneous at r = 100: a failed
     # check, not a usage error
+    path = tmp_path / "r.json"
     assert main(["homogeneity", "--model", "flat", "--f", "1000000+z",
-                 "--K", "2", "--radii", "100"]) == 1
+                 "--K", "2", "--radii", "100", "--json", str(path)]) == 1
     assert capsys.readouterr().err == ""
+    (check,) = json.loads(path.read_text())["checks"]
+    assert check["verdict"] == "fail"
+    assert check["witness"]["value"] == pytest.approx(1.9998, abs=1e-4)
+    assert check["margin"] == 0.05 - check["witness"]["value"]
 
 
 def test_monotonicity_default_order_takes_one_curve(monkeypatch, capsys):
@@ -446,12 +465,19 @@ def test_ode_flat_and_blow_down(tmp_path, capsys):
 
 def test_necessity_command(tmp_path):
     path = tmp_path / "r.json"
-    code = main(["necessity", "--model", "hyperbolic", "--json", str(path)])
-    assert code == 0
-    rep = json.loads(path.read_text())
-    wit = rep["checks"][0]["witness"]
-    assert wit["expected"] == pytest.approx(-1 / 12, rel=1e-9)
-    assert wit["fitted"] == pytest.approx(-1 / 12, rel=0.05)
+    # the default threshold is max(0.05 |H(0)/12|, 1e-3); a 1e-9 one is
+    # tighter than the fit's error
+    for tols, threshold, code in [
+            ([], max(0.05 / 12, 1e-3), 0),
+            (["--rtol", "0", "--atol", "1e-9"], 1e-9, 1)]:
+        assert main(["necessity", "--model", "hyperbolic", *tols,
+                     "--json", str(path)]) == code
+        (check,) = json.loads(path.read_text())["checks"]
+        wit = check["witness"]
+        assert wit["expected"] == pytest.approx(-1 / 12, rel=1e-9)
+        assert wit["fitted"] == pytest.approx(-1 / 12, rel=0.05)
+        assert check["margin"] == pytest.approx(
+            threshold - abs(wit["fitted"] + 1 / 12), rel=1e-9)
 
 
 def test_homogeneity_command():
@@ -644,6 +670,9 @@ def test_lab_commands_load_no_scipy(tmp_path):
         ["necessity", "--model", "table", "--table", table],
         ["homogeneity", "--model", "flat", "--f", "z^2+z",
          "--radii", "100,1000"],
+        # --h auto solves the table's h up to its r_max of 2.49
+        ["three-circle", "--model", "table", "--table", table, "--f", "z",
+         "--radii", "0.2:2:8"],
     ] + [["dimension", *argv] for argv in DIMENSION_RUNS] + [
         ["suite", name] for name in SUITES]
     code = textwrap.dedent("""
@@ -651,9 +680,9 @@ def test_lab_commands_load_no_scipy(tmp_path):
         from growthlab.cli import main
 
         codes = []
-        for argv in json.loads(sys.argv[1]):
+        for k, argv in enumerate(json.loads(sys.argv[1])):
             with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(main(argv))
+                codes.append(main(argv + ["--json", f"r{k}.json"]))
         print(codes)
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
@@ -662,6 +691,12 @@ def test_lab_commands_load_no_scipy(tmp_path):
                          text=True, timeout=120, check=False)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [str([0] * len(runs)), "[]"]
+    for k in range(len(runs)):
+        for check in json.loads((tmp_path / f"r{k}.json").read_text())[
+                "checks"]:
+            assert set(check) == {"name", "passed", "verdict", "margin",
+                                  "witness"}
+            assert check["passed"] == (check["margin"] >= 0), check
 
 
 def test_no_scipy_import_in_library():

@@ -244,7 +244,7 @@ def test_power_decay_supersolution_sign(A, eps):
     grid = np.geomspace(1e-3, 50.0, 400)
     rep = verify_supersolution(u, g, grid)
     assert rep.passed
-    assert rep.min_residual >= 0.0
+    assert rep.witness["min_residual"] >= 0.0
 
 
 def test_power_decay_residual_closed_form():
@@ -291,7 +291,7 @@ def test_inverse_square_supersolution():
     gb = curvature_bound("inverse_square", C=C, r0=2.0)
     rep = verify_supersolution(ub, gb, np.geomspace(2.0, 200.0, 300))
     assert rep.passed
-    assert rep.min_residual >= -1e-8
+    assert rep.witness["min_residual"] >= -1e-8
 
 
 def test_inverse_square_guards():
@@ -375,7 +375,7 @@ def test_solved_residual_needs_no_numdiff(monkeypatch):
     un = solve_riccati_equality(g)
     rep = verify_supersolution(un, g, np.geomspace(1e-3, 0.995 * un.r_max,
                                                    400))
-    assert rep.min_residual >= -1e-10
+    assert rep.witness["min_residual"] >= -1e-10
 
 
 def test_evaluation_budget_raises(monkeypatch):

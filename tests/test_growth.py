@@ -248,7 +248,7 @@ def test_three_circle_hyperbolic_violation():
     x = np.log(np.array(radii))
     oracle = (L[2] - L[1]) / (x[2] - x[1]) - (L[1] - L[0]) / (x[1] - x[0])
     assert rep.min_second_difference == pytest.approx(oracle, abs=1e-9)
-    assert rep.argmin_r == 1.0
+    assert rep.witness["argmin_r"] == 1.0
 
 
 def test_three_circle_needs_increasing_h():
@@ -667,7 +667,7 @@ def test_monotonicity_strictly_decreasing_ratio():
     assert monotonicity_check(c, H_LOGR, 2.0, "nonincreasing").passed
     rep = monotonicity_check(c, H_LOGR, 2.0, "nondecreasing")
     assert rep.verdict == "violation"
-    assert rep.worst > 0
+    assert rep.witness["worst"] > 0
 
 
 def test_monotonicity_vanishing_order_direction():
