@@ -150,17 +150,29 @@ def parse_function(text: str, n: int) -> HoloPoly:
     return HoloPoly(n, coeffs)
 
 
+def _finite(text, kind=float):
+    """text as a finite number of type kind; DomainError otherwise."""
+    try:
+        value = kind(text)
+    except (TypeError, ValueError):
+        raise DomainError(f"bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{text!r} is not a finite number")
+    return value
+
+
 def parse_radii(spec, spacing: str = "log") -> np.ndarray:
     """start:stop:count grid, comma list, or single value."""
     if isinstance(spec, (list, tuple, np.ndarray)):
-        radii = np.asarray([float(v) for v in spec])
+        radii = np.asarray([_finite(v) for v in spec])
     else:
         s = str(spec).strip()
         if ":" in s:
             parts = s.split(":")
             if len(parts) != 3:
                 raise DomainError(f"radii spec {spec!r} is not start:stop:count")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop = _finite(parts[0]), _finite(parts[1])
+            count = _finite(parts[2], int)
             if count < 1:
                 raise DomainError("radii count must be >= 1")
             if not 0 < start <= stop:
@@ -170,9 +182,9 @@ def parse_radii(spec, spacing: str = "log") -> np.ndarray:
             else:
                 radii = np.geomspace(start, stop, count)
         elif "," in s:
-            radii = np.asarray([float(p) for p in s.split(",") if p.strip()])
+            radii = np.asarray([_finite(p) for p in s.split(",") if p.strip()])
         else:
-            radii = np.asarray([float(s)])
+            radii = np.asarray([_finite(s)])
     if radii.size == 0 or np.any(radii <= 0):
         raise DomainError("radii must be positive")
     return radii
@@ -193,7 +205,7 @@ def build_model(args):
     if tag == "poly":
         if not args.coeffs:
             raise DomainError("--model poly needs --coeffs c0,c1,...")
-        coeffs = [float(p) for p in str(args.coeffs).split(",")]
+        coeffs = [_finite(p) for p in str(args.coeffs).split(",")]
         return builtin_model("conformal_poly", args.n, coeffs=coeffs)
     if tag == "table":
         if not args.table:
@@ -784,12 +796,24 @@ def main(argv=None) -> int:
             unknown = sorted(set(cfg) - set(actions))
             if unknown:
                 raise DomainError(f"unknown config keys {unknown}")
-            # set_defaults skips the choices check that a parsed flag gets
+            # set_defaults skips the type and choices checks that a parsed
+            # flag gets: a value parses as the flag's text would, and an
+            # on/off flag takes only true or false
             for key, value in cfg.items():
-                choices = actions[key].choices
-                if choices is not None and value not in choices:
+                action = actions[key]
+                if action.nargs == 0 and not isinstance(value, bool):
                     raise DomainError(f"config key {key!r}: {value!r} is "
-                                      f"not one of {list(choices)}")
+                                      "not true or false")
+                if action.type is not None:
+                    try:
+                        value = cfg[key] = action.type(str(value))
+                    except ValueError:
+                        raise DomainError(
+                            f"config key {key!r}: {value!r} is not a valid "
+                            f"{action.type.__name__}") from None
+                if action.choices is not None and value not in action.choices:
+                    raise DomainError(f"config key {key!r}: {value!r} is "
+                                      f"not one of {list(action.choices)}")
             chosen.set_defaults(**cfg)
             args = parser.parse_args(argv)
         t0 = time.perf_counter()

@@ -26,7 +26,7 @@ one-radius case:
     of the samples are refined together by parabolas through true values.
     Off-center circles (n = 1 only) are closed forms or, without one, one
     exp-map integration through every radius;
-  * other polynomials on C^n, n >= 2: |f| is sampled at fixed Halton
+  * other polynomials on C^n, n >= 2: |f| is sampled at fixed quasirandom
     directions on each sphere, and the best 32 per sphere climb together,
     over all radii at once, by a saddle-free Riemannian Newton ascent of
     |f|^2 to rounding level.  A curve then climbs once more on every
@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import importlib
 import math
-import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -96,6 +95,8 @@ class HoloPoly:
             if len(alpha) != self.n or any(a < 0 for a in alpha):
                 raise DomainError(f"bad multi-index {key!r} for n={self.n}")
             c = complex(c)
+            if not np.isfinite(c):
+                raise DomainError(f"coefficient {c} of {key!r} is not finite")
             if c != 0:
                 clean[alpha] = clean.get(alpha, 0j) + c
         scale = max((abs(c) for c in clean.values()), default=0.0)
@@ -195,44 +196,20 @@ def __getattr__(name: str):
     return module
 
 
-def _primes(k: int) -> list:
-    """The first k primes."""
-    out: list = []
-    p = 2
-    while len(out) < k:
-        if all(p % q for q in out if q * q <= p):
-            out.append(p)
-        p += 1
-    return out
-
-
-def _halton(d: int, count: int) -> np.ndarray:
-    """Points 1..count of the unscrambled Halton sequence in [0, 1)^d.
-
-    Each column is the radical inverse of the index in one of the first d
-    primes, summed digit by digit from the lowest as scipy's
-    ``qmc.Halton(d, scramble=False)`` does, so the points are the same
-    bits as that sampler's after ``fast_forward(1)``.
-    """
-    out = np.zeros((count, d))
-    for j, base in enumerate(_primes(d)):
-        q = np.arange(1, count + 1)
-        scale = 1.0 / base
-        while q.any():
-            out[:, j] += (q % base) * scale
-            scale /= base
-            q //= base
-    return out
-
-
 @functools.cache
 def _directions(n: int, count: int) -> np.ndarray:
-    """Deterministic quasi-uniform points on the unit sphere of C^n."""
-    inv_cdf = statistics.NormalDist().inv_cdf
-    x = np.array([[inv_cdf(t) for t in row]
-                  for row in _halton(2 * n, count).tolist()])
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x[:, 0::2] + 1j * x[:, 1::2]
+    """Deterministic quasi-uniform points on the unit sphere of C^n: points
+    1..count of Roberts' R_2n sequence, frac(1/2 + k g^-j) for j = 1..2n
+    with g^(2n+1) = g + 1, paired into standard complex Gaussians by the
+    Box-Muller transform, then normalized."""
+    g = 2.0
+    for _ in range(40):  # a contraction by 1/5 or less per step
+        g = (1.0 + g) ** (1.0 / (2 * n + 1))
+    u = (0.5 + np.outer(np.arange(1, count + 1),
+                        g ** -np.arange(1.0, 2 * n + 1))) % 1.0
+    z = (np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+         * np.exp(2j * math.pi * u[:, 1::2]))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 _STARTS = 32         # best sampled directions polished per sphere
@@ -473,8 +450,8 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
     on the geodesic sphere: on a circle (n = 1) at max(720, 16 deg)
     launch angles, a peak placed on an interpolant of the best ones, then
     refined by parabolas through true values; on the sphere of C^n
-    (n >= 2) at 480 n fixed Halton directions, the best 32 climbed by a
-    Riemannian Newton ascent.
+    (n >= 2) at 480 n fixed quasirandom directions, the best 32 climbed by
+    a Riemannian Newton ascent.
     """
     if r is None:
         raise DomainError("max_modulus needs a radius")

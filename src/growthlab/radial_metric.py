@@ -195,8 +195,8 @@ def _space_form(n: int, kappa: float, s: float) -> RadialKahlerModel:
     2 artanh(a/b) = log1p(2a(a + b)/(b^2 - a^2)) on the disk, where
     b^2 - a^2 = (1 - |p|^2)(1 - |q|^2); both keep nearby pairs accurate."""
     kind = "hyperbolic" if s > 0 else "sphere"
-    if kappa <= 0:
-        raise DomainError(f"{kind} model needs kappa > 0")
+    if not 0 < kappa < math.inf:
+        raise DomainError(f"{kind} model needs a finite kappa > 0")
     sk = math.sqrt(kappa)
     tan, atan = (np.tanh, np.arctanh) if s > 0 else (np.tan, np.arctan)
     r_max = math.inf if s > 0 else math.pi / sk

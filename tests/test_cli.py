@@ -162,6 +162,20 @@ def test_validation_error_exit_two(capsys):
                  "--center", "1.5", "--radii", "0.1,0.2,0.3"])
     assert code == 2
     assert "outside the chart" in capsys.readouterr().err
+    # malformed or non-finite numbers: one error line, no traceback
+    for argv, said in [
+            (["--f", "z", "--radii", "0.1:1:x"], "'x'"),
+            (["--f", "z", "--radii", "0.1,abc"], "'abc'"),
+            (["--f", "z", "--radii", "0.1:1:2.5"], "'2.5'"),
+            (["--f", "z", "--radii", "0.1:inf:3"], "'inf'"),
+            (["--model", "poly", "--coeffs", "1,a", "--f", "z",
+              "--radii", "0.1:1:3"], "'a'"),
+            (["--model", "hyperbolic", "--kappa", "nan", "--f", "z",
+              "--radii", "0.1:1:3"], "kappa"),
+            (["--f", "z+nanz^2", "--radii", "0.5:2:4"], "not finite")]:
+        assert main(["three-circle", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and said in err, argv
 
 
 def test_dimension_example(capsys):
@@ -585,6 +599,16 @@ def test_config_errors_exit_two(tmp_path, capsys):
     cfg.write_text(json.dumps({"spacing": "bogus", "radii": "0.1:1:4"}))
     assert main(["curvature", "--config", str(cfg)]) == 2
     assert "spacing" in capsys.readouterr().err
+    # and its type: a string is no on/off value, and a value that its
+    # flag would not parse is not taken as it is
+    run = {"f": "z^2", "radii": "0.5:5:8", "h": "logr"}
+    for bad in [{"expect_violation": "false"}, {"n": 1.5}, {"tol": [1]}]:
+        cfg.write_text(json.dumps({**run, **bad}))
+        assert main(["three-circle", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key") and next(iter(bad)) in err
+    cfg.write_text(json.dumps({**run, "n": 1, "tol": 1e-6}))
+    assert main(["three-circle", "--config", str(cfg)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +672,8 @@ def test_cli_import_loads_no_scipy_submodule():
 
 def test_lab_commands_load_no_scipy(tmp_path):
     # every lab command and suite runs on numpy alone, the n = 1 circle
-    # refinement and the tabulated exp-map circles included
+    # refinement, the n = 2 sphere ascent and the tabulated exp-map circles
+    # included, and none loads numpy.random or statistics
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -673,6 +698,9 @@ def test_lab_commands_load_no_scipy(tmp_path):
         # --h auto solves the table's h up to its r_max of 2.49
         ["three-circle", "--model", "table", "--table", table, "--f", "z",
          "--radii", "0.2:2:8"],
+        # not alignable: the n = 2 sphere route and its sample directions
+        ["three-circle", "--model", "cigar", "--n", "2",
+         "--f", "z1^2*z2+z1*z2^2+0.5z1^3", "--radii", "0.3:3:7"],
     ] + [["dimension", *argv] for argv in DIMENSION_RUNS] + [
         ["suite", name] for name in SUITES]
     code = textwrap.dedent("""
@@ -685,12 +713,13 @@ def test_lab_commands_load_no_scipy(tmp_path):
                 codes.append(main(argv + ["--json", f"r{k}.json"]))
         print(codes)
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print([m for m in ("numpy.random", "statistics") if m in sys.modules])
     """)
     res = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
                          cwd=tmp_path, env=env, capture_output=True,
                          text=True, timeout=120, check=False)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == [str([0] * len(runs)), "[]"]
+    assert res.stdout.splitlines() == [str([0] * len(runs)), "[]", "[]"]
     for k in range(len(runs)):
         for check in json.loads((tmp_path / f"r{k}.json").read_text())[
                 "checks"]:

@@ -7,8 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.interpolate import CubicSpline
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from growthlab import (
     RadialProfile,
@@ -106,6 +104,16 @@ def test_poly_rejects_zero_and_bad_indices():
         HoloPoly(2, {(1, 1): 1.0}).vanishing_order(0.5)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_poly_rejects_non_finite_coefficients(c):
+    # a nan term would be dropped as "small", and an inf one would leave
+    # every finite term below the cutoff
+    with pytest.raises(DomainError, match="not finite"):
+        HoloPoly(1, {1: 1.0, 2: c})
+    with pytest.raises(DomainError, match="not finite"):
+        HoloPoly(2, {(1, 0): c})
+
+
 # ---------------------------------------------------------------------------
 # max_modulus
 
@@ -166,8 +174,8 @@ def test_max_modulus_validation():
 
 
 def test_max_modulus_c3_global_maximum():
-    # the best four of 1,440 Halton directions polished by L-BFGS found a
-    # local maximum, 5.7762; 40 Nelder-Mead runs from the best of 40,000
+    # |f| has a local maximum of 5.7762 on this sphere, where a search from
+    # too few starts stops; 40 Nelder-Mead runs from the best of 40,000
     # random directions agree with the value below to 1e-15
     f = HoloPoly(3, {(2, 2, 1): 0.6904 + 0.4766j, (1, 0, 4): -1.7628 - 0.3470j,
                      (4, 0, 0): -0.7912 - 0.4659j})
@@ -176,7 +184,8 @@ def test_max_modulus_c3_global_maximum():
 
 
 def test_max_modulus_c2_global_maximum():
-    # L-BFGS stopped at 0.096789; reference as in the C^3 case above
+    # a local maximum of 0.096789 sits on this sphere; reference as in the
+    # C^3 case above
     f = HoloPoly(2, {(3, 1): -0.3093 + 0.3255j, (1, 0): 0.0298 - 0.3210j,
                      (0, 3): 1.2111 - 2.3554j, (3, 2): -1.1219 + 0.0609j,
                      (1, 4): 0.2078 + 2.1432j})
@@ -901,17 +910,3 @@ def test_cone_validation():
         cone_exponent(1.0, 1)
     with pytest.raises(DomainError):
         separation_eigenvalue(-0.5, 4)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 7])
-def test_halton_points_match_scipy(n):
-    # n = 7 reaches the primes past 13
-    sampler = qmc.Halton(d=2 * n, scramble=False)
-    sampler.fast_forward(1)
-    expected = sampler.random(480 * n)
-    got = growth._halton(2 * n, 480 * n)
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    x = ndtri(expected)
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    assert np.max(np.abs(growth._directions(n, 480 * n)
-                         - (x[:, 0::2] + 1j * x[:, 1::2]))) <= 2e-15
