@@ -154,11 +154,11 @@ def _finite(text, kind=float):
     """text as a finite number of type kind; DomainError otherwise."""
     try:
         value = kind(text)
+        if math.isfinite(value):
+            return value
     except (TypeError, ValueError):
-        raise DomainError(f"bad number {text!r}") from None
-    if not math.isfinite(value):
-        raise DomainError(f"{text!r} is not a finite number")
-    return value
+        pass
+    raise DomainError(f"{text!r} is not a finite {kind.__name__}")
 
 
 def parse_radii(spec, spacing: str = "log") -> np.ndarray:
@@ -171,8 +171,7 @@ def parse_radii(spec, spacing: str = "log") -> np.ndarray:
             parts = s.split(":")
             if len(parts) != 3:
                 raise DomainError(f"radii spec {spec!r} is not start:stop:count")
-            start, stop = _finite(parts[0]), _finite(parts[1])
-            count = _finite(parts[2], int)
+            start, stop, count = map(_finite, parts, (float, float, int))
             if count < 1:
                 raise DomainError("radii count must be >= 1")
             if not 0 < start <= stop:
@@ -796,9 +795,8 @@ def main(argv=None) -> int:
             unknown = sorted(set(cfg) - set(actions))
             if unknown:
                 raise DomainError(f"unknown config keys {unknown}")
-            # set_defaults skips the type and choices checks that a parsed
-            # flag gets: a value parses as the flag's text would, and an
-            # on/off flag takes only true or false
+            # set_defaults skips a parsed flag's checks: its type (an on/off
+            # flag takes only true or false) and its choices
             for key, value in cfg.items():
                 action = actions[key]
                 if action.nargs == 0 and not isinstance(value, bool):

@@ -203,7 +203,7 @@ def _directions(n: int, count: int) -> np.ndarray:
     with g^(2n+1) = g + 1, paired into standard complex Gaussians by the
     Box-Muller transform, then normalized."""
     g = 2.0
-    for _ in range(40):  # a contraction by 1/5 or less per step
+    for _ in range(40):  # contracts by a factor 1/(2n + 1) or less
         g = (1.0 + g) ** (1.0 / (2 * n + 1))
     u = (0.5 + np.outer(np.arange(1, count + 1),
                         g ** -np.arange(1.0, 2 * n + 1))) % 1.0

@@ -910,3 +910,15 @@ def test_cone_validation():
         cone_exponent(1.0, 1)
     with pytest.raises(DomainError):
         separation_eigenvalue(-0.5, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sample_directions_are_spread_over_the_sphere(n):
+    # the sphere route's starts: unit vectors whose first and second
+    # moments are those of the uniform measure on the unit sphere of C^n
+    z = growth._directions(n, 480 * n)
+    assert z.shape == (480 * n, n)
+    assert np.max(np.abs(np.linalg.norm(z, axis=1) - 1.0)) <= 1e-15
+    gram = z.T @ z.conj() / len(z)
+    assert np.max(np.abs(z.mean(axis=0))) <= 0.01
+    assert np.max(np.abs(gram - np.eye(n) / n)) <= 0.01
