@@ -9,7 +9,7 @@ monotonicity  sharp growth monotonicity of log M_f - d h
 necessity     quadratic deficit of the chart ratio at small radii
 homogeneity   asymptotic homogeneity defect at large radii
 dimension     dimension bounds: polynomial counts and growth regimes
-suite         pinned check bundles with a summary table
+suite         pinned check bundles, then a k/N passed count
 
 Functions are monomial sums over ``z`` (one variable) or ``z1..zN``
 with complex coefficients written as ``a+bi``; whitespace is ignored.
@@ -303,6 +303,8 @@ def finish(args, checks: list, table, t0: float) -> int:
             line += "  (" + ", ".join(
                 f"{k}={c.witness[k]}" for k in keys) + ")"
         print(line)
+    if len(checks) > 1:
+        print(f"{sum(c.passed for c in checks)}/{len(checks)} passed")
     if expect:
         print("violation-as-expected" if ok
               else "expected a violation but every check passed")
@@ -646,14 +648,7 @@ SUITES = {
 
 
 def _cmd_suite(args):
-    checks = SUITES[args.name]()
-    width = max(len(c.name) for c in checks)
-    print(f"{'check':<{width}}  verdict")
-    for c in checks:
-        print(f"{c.name:<{width}}  {c.verdict}")
-    n_pass = sum(c.passed for c in checks)
-    print(f"{n_pass}/{len(checks)} passed")
-    return checks, None
+    return SUITES[args.name](), None
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +809,9 @@ def main(argv=None) -> int:
                                       f"not one of {list(action.choices)}")
             chosen.set_defaults(**cfg)
             args = parser.parse_args(argv)
+        for key, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"--{key.replace('_', '-')} must be finite")
         t0 = time.perf_counter()
         checks, table = _HANDLERS[args.command](args)
         return finish(args, checks, table, t0)

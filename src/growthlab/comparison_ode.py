@@ -9,8 +9,8 @@ where g is a lower bound for the radial holomorphic sectional curvature.
 Equality solutions u are the model complex Hessians; h is the increasing
 reparametrization in which log-max-modulus becomes convex.
 
-Closed-form catalog (tag -> (u, h)), held as data in _CATALOG together
-with each u's bound g, derivatives and domain:
+Closed-form catalog (tag -> (u, h)), held as data in _CATALOG with each
+u's bound g, the derivatives, and the ends of u's and h's domains:
 
     nonneg                u = 1/(2r)              h = log r
     lower_bound_minus_one u = coth(r)/2           h = log(2 tanh(r/2))
@@ -39,7 +39,8 @@ from __future__ import annotations
 import functools
 import importlib
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,7 +108,6 @@ class Supersolution:
     blow_down: float | None = None
     origin_residual: float = 0.0
     tag: str = "custom"
-    params: tuple = ()
 
     def __call__(self, r):
         return self.u(r)
@@ -120,10 +120,8 @@ class Convexifier:
     h_prime: Callable
     h_second: Callable | None = None
     normalization_residual: float = 0.0
-    stated_offset: float = 0.0
     domain: tuple = (0.0, math.inf)
     tag: str = "custom"
-    params: tuple = ()
 
     def __call__(self, r):
         return self.h(r)
@@ -146,8 +144,7 @@ def curvature_bound(tag: str, **params) -> CurvatureLowerBound:
     over all of (0, r_end], also past a blow-down.
     """
     if tag == "constant":
-        c = float(params.pop("c"))
-        _no_extras(params)
+        c, = _only(params, "c")
         return CurvatureLowerBound(
             g=lambda r: np.full_like(np.asarray(r, dtype=float), c),
             tag=tag, params=(("c", c),))
@@ -157,9 +154,7 @@ def curvature_bound(tag: str, **params) -> CurvatureLowerBound:
             g=lambda r: -A / (1.0 + np.asarray(r, dtype=float)) ** (2 + eps),
             tag=tag, params=(("A", A), ("eps", eps)))
     if tag == "inverse_square":
-        C = float(params.pop("C"))
-        r0 = float(params.pop("r0"))
-        _no_extras(params)
+        C, r0 = _only(params, "C", "r0")
         if not 0 < C < 0.25:
             raise DomainError("inverse_square needs 0 < C < 1/4")
         if r0 <= 0:
@@ -168,26 +163,32 @@ def curvature_bound(tag: str, **params) -> CurvatureLowerBound:
             g=lambda r: C / np.asarray(r, dtype=float) ** 2,
             tag=tag, params=(("C", C), ("r0", r0)))
     if tag == "cigar":
-        _no_extras(params)
+        _only(params)
         return CurvatureLowerBound(
             g=lambda r: 2.0 / np.cosh(np.asarray(r, dtype=float)) ** 2,
             tag=tag)
     if tag == "custom":
         g = params.pop("g")
-        _no_extras(params)
+        _only(params)
         return CurvatureLowerBound(g=g, tag=tag)
     raise DomainError(f"unknown curvature bound tag {tag!r}")
 
 
-def _no_extras(params: dict) -> None:
+def _only(params: dict, *names: str) -> list:
+    """Pop the named parameters as finite floats, and allow no others;
+    DomainError names a missing, malformed or unexpected one."""
+    values = [params.pop(name, None) for name in names]
     if params:
         raise DomainError(f"unexpected parameters {sorted(params)}")
+    for name, value in zip(names, values):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise DomainError(f"parameter {name} must be a finite number, "
+                              f"got {value!r}")
+    return [float(v) for v in values]
 
 
 def _power_decay_params(params: dict) -> tuple:
-    A = float(params.pop("A"))
-    eps = float(params.pop("eps"))
-    _no_extras(params)
+    A, eps = _only(params, "A", "eps")
     if A <= 0 or eps <= 0:
         raise DomainError("power_decay needs A > 0 and eps > 0")
     return A, eps
@@ -197,10 +198,7 @@ def _power_decay_params(params: dict) -> tuple:
 # supersolutions
 
 def make_supersolution(u: Callable, u_prime: Callable | None = None,
-                       g: CurvatureLowerBound | None = None,
-                       r_max: float = math.inf,
-                       origin_normalized: bool | None = None,
-                       tag: str = "custom", params: tuple = ()) -> Supersolution:
+                       origin_normalized: bool | None = None) -> Supersolution:
     """Wrap a user-supplied u.
 
     u must accept 1-d arrays of radii: solve_convexifier evaluates it on
@@ -213,8 +211,7 @@ def make_supersolution(u: Callable, u_prime: Callable | None = None,
     if origin_normalized is None:
         origin_normalized = res <= 1e-3
     return Supersolution(u=u, origin_normalized=origin_normalized,
-                         u_prime=u_prime, bound=g, r_max=r_max,
-                         origin_residual=res, tag=tag, params=params)
+                         u_prime=u_prime, origin_residual=res)
 
 
 def solve_riccati_equality(g: CurvatureLowerBound,
@@ -279,11 +276,10 @@ def solve_riccati_equality(g: CurvatureLowerBound,
                         dp_of(r_arr) / (2.0 * r_arr * j)
                         - 2.0 * (p / (2.0 * j)) ** 2)[()]
 
-    return Supersolution(u=u, origin_normalized=True, u_prime=u_prime,
-                         bound=g if isinstance(g, CurvatureLowerBound) else None,
-                         r_max=r_max, blow_down=blow_down,
-                         origin_residual=abs(2 * u(_R0_CHECK) * _R0_CHECK - 1),
-                         tag=f"riccati[{getattr(g, 'tag', 'custom')}]")
+    return replace(make_supersolution(u, u_prime, origin_normalized=True),
+                   bound=g if isinstance(g, CurvatureLowerBound) else None,
+                   r_max=r_max, blow_down=blow_down,
+                   tag=f"riccati[{getattr(g, 'tag', 'custom')}]")
 
 
 def verify_supersolution(u: Supersolution, g: CurvatureLowerBound,
@@ -359,7 +355,7 @@ def solve_convexifier(u: Supersolution, r_end: float | None = None) -> Convexifi
 
     return Convexifier(h=h, h_prime=h_prime, h_second=h_second,
                        normalization_residual=_nres_of(lambda r: float(h(r))),
-                       stated_offset=0.0, domain=(0.0, hi),
+                       domain=(0.0, hi),
                        tag=f"solved[{u.tag}]")
 
 
@@ -512,49 +508,48 @@ def _check_domain(r_arr, hi):
 
 # One row per tag, two fields a line: u, u'; the curvature_bound
 # arguments of the g that u solves u' + 2u^2 + g/2 = 0 for, r_max (the end
-# of u's domain); h, h'; h'', stated_offset.  The functions take float
-# arrays; _catalog_row converts the argument.  The trigonometric h carry their normalizing
-# factor 2 (so that e^h/r -> 1), and stated_offset is the log 2 against
-# the bare log-tanh and log-tan shapes.
+# of u's domain); h, h'; h'', the end of h's domain.  The functions take
+# float arrays; _catalog_row converts the argument.  The trigonometric h
+# carry their normalizing factor 2, so that e^h/r -> 1.
 _CATALOG = {
     "nonneg": (
         lambda r: 0.5 / r, lambda r: -0.5 / r ** 2,
         ("constant", {"c": 0.0}), math.inf,
         np.log, lambda r: 1.0 / r,
-        lambda r: -1.0 / r ** 2, 0.0),
+        lambda r: -1.0 / r ** 2, math.inf),
     "lower_bound_minus_one": (
         lambda r: 0.5 / np.tanh(r), lambda r: -0.5 / np.sinh(r) ** 2,
         ("constant", {"c": -1.0}), math.inf,
         lambda r: np.log(2.0 * np.tanh(0.5 * r)), lambda r: 1.0 / np.sinh(r),
-        lambda r: -np.cosh(r) / np.sinh(r) ** 2, math.log(2.0)),
+        lambda r: -np.cosh(r) / np.sinh(r) ** 2, math.inf),
     "lower_bound_plus_one": (
         lambda r: 0.5 / np.tan(r), lambda r: -0.5 / np.sin(r) ** 2,
         ("constant", {"c": 1.0}), math.pi,
         lambda r: np.log(2.0 * np.tan(0.5 * r)), lambda r: 1.0 / np.sin(r),
-        lambda r: -np.cos(r) / np.sin(r) ** 2, math.log(2.0)),
+        lambda r: -np.cos(r) / np.sin(r) ** 2, math.pi),
     "cigar": (
         lambda r: 1.0 / np.sinh(2.0 * r),
         lambda r: -2.0 * np.cosh(2.0 * r) / np.sinh(2.0 * r) ** 2,
         ("cigar", {}), math.inf,
         # sinh overflows past r ~ 710; log sinh r = r + log1p(-e^{-2r}) - log 2
         lambda r: r + np.log1p(-np.exp(-2.0 * r)) - math.log(2.0),
-        lambda r: 1.0 / np.tanh(r), lambda r: -1.0 / np.sinh(r) ** 2, 0.0),
+        lambda r: 1.0 / np.tanh(r), lambda r: -1.0 / np.sinh(r) ** 2,
+        math.inf),
 }
 # power_decay's h is a quadrature, tabulated on (0, _H_TABLE_END]
 _H_TABLE_END = 1e6
 
 
-def _catalog_row(tag: str, params: dict) -> tuple:
-    """(row, params) of a catalog tag; the row's functions take array-likes."""
+def _catalog_row(tag: str, params: dict) -> list:
+    """The row of a catalog tag, with functions that take array-likes."""
     if tag == "power_decay":
-        A, eps = _power_decay_params(params)
-        row, params = _power_decay_row(A, eps), (("A", A), ("eps", eps))
+        row = _power_decay_row(*_power_decay_params(params))
     elif tag in _CATALOG:
-        _no_extras(params)
-        row, params = _CATALOG[tag], ()
+        _only(params)
+        row = _CATALOG[tag]
     else:
         raise DomainError(f"unknown catalog tag {tag!r}")
-    return [_on_arrays(f) if callable(f) else f for f in row], params
+    return [_on_arrays(f) if callable(f) else f for f in row]
 
 
 def _on_arrays(f: Callable) -> Callable:
@@ -591,7 +586,7 @@ def _power_decay_row(A: float, eps: float) -> tuple:
         ("power_decay", {"A": A, "eps": eps}), math.inf,
         lambda r: h()(r), h_prime,
         lambda r: h_prime(r) * (-2.0 * A / (1.0 + r) ** (1 + eps) - 1.0 / r),
-        0.0)
+        _H_TABLE_END)
 
 
 def closed_form_supersolution(tag: str, **params) -> Supersolution:
@@ -601,23 +596,18 @@ def closed_form_supersolution(tag: str, **params) -> Supersolution:
     origin-normalized; for power_decay the finite probe at 1e-4 still
     deviates by 2 A r0.
     """
-    (u, u_prime, (g_tag, g_params), r_max, *_), params = _catalog_row(
-        tag, params)
-    return make_supersolution(u, u_prime=u_prime,
-                              g=curvature_bound(g_tag, **g_params),
-                              r_max=r_max, origin_normalized=True, tag=tag,
-                              params=params)
+    u, u_prime, (g_tag, g_params), r_max, *_ = _catalog_row(tag, params)
+    return replace(make_supersolution(u, u_prime, origin_normalized=True),
+                   bound=curvature_bound(g_tag, **g_params), r_max=r_max,
+                   tag=tag)
 
 
 def closed_form_convexifier(tag: str, **params) -> Convexifier:
     """Catalog h with analytic derivatives; see _CATALOG."""
-    (*_, r_max, h, h_prime, h_second, offset), params = _catalog_row(
-        tag, params)
+    *_, h, h_prime, h_second, h_end = _catalog_row(tag, params)
     return Convexifier(h=h, h_prime=h_prime, h_second=h_second,
                        normalization_residual=_nres_of(lambda r: float(h(r))),
-                       stated_offset=offset,
-                       domain=(0.0, _H_TABLE_END if params else r_max),
-                       tag=tag, params=params)
+                       domain=(0.0, h_end), tag=tag)
 
 
 def _nres_of(h_scalar) -> float:

@@ -53,8 +53,6 @@ class DimensionBound:
     witness_ok) for power decay; a, b, A, k, C, c1 for exp_growth(C=...).
     """
 
-    n: int
-    d: float
     bound: int | float
     regime: str
     d_eff: float
@@ -116,7 +114,7 @@ def dim_bound_from_h(h: Convexifier, d: float, n: int,
             raise DomainError(
                 "superlogarithmic h without a positive linear rate")
         d_eff = d / c1
-        return DimensionBound(n=n, d=d, bound=dim_poly_space(n, d_eff),
+        return DimensionBound(bound=dim_poly_space(n, d_eff),
                               regime="exp_growth", d_eff=d_eff,
                               params=(("gamma", math.inf), ("c1", c1)))
     if gamma <= 0:
@@ -127,9 +125,8 @@ def dim_bound_from_h(h: Convexifier, d: float, n: int,
     gamma = min(gamma, 1.0)
     d_eff = d / gamma
     regime = "euclidean_exact" if abs(gamma - 1.0) <= 1e-9 else "h_growth"
-    return DimensionBound(n=n, d=d, bound=dim_poly_space(n, d_eff),
-                          regime=regime, d_eff=d_eff,
-                          params=(("gamma", gamma),))
+    return DimensionBound(bound=dim_poly_space(n, d_eff), regime=regime,
+                          d_eff=d_eff, params=(("gamma", gamma),))
 
 
 def power_decay_regimes(A: float, eps: float, d: float,
@@ -160,18 +157,18 @@ def power_decay_regimes(A: float, eps: float, d: float,
               ("growth_factor", factor))
     d_int = round(d)
     if d <= threshold:
-        return DimensionBound(n=n, d=d, bound=1, regime="trivial", d_eff=0.0,
+        return DimensionBound(bound=1, regime="trivial", d_eff=0.0,
                               params=params)
     if abs(d - d_int) <= _SNAP and d_int >= 1 and A / eps <= 0.25 / d_int:
         return DimensionBound(
-            n=n, d=d, bound=dim_poly_space(n, float(d_int)), regime="sharp",
+            bound=dim_poly_space(n, float(d_int)), regime="sharp",
             d_eff=float(d_int),
             params=params + (("sharp_cap", 0.25 / d_int),
                              ("witness_ok", factor * d_int < d_int + 1)))
     d_eff = d * factor
     bound = dim_poly_space(n, d_eff) if math.isfinite(d_eff) else math.inf
-    return DimensionBound(n=n, d=d, bound=bound, regime="general",
-                          d_eff=d_eff, params=params)
+    return DimensionBound(bound=bound, regime="general", d_eff=d_eff,
+                          params=params)
 
 
 def exp_growth_bound(C: float, d: float, n: int, c1: float) -> DimensionBound:
@@ -202,7 +199,7 @@ def exp_growth_bound(C: float, d: float, n: int, c1: float) -> DimensionBound:
     b = (1.0 - disc) / 4.0
     d_eff = d / c1
     return DimensionBound(
-        n=n, d=d, bound=dim_poly_space(n, d_eff),
-        regime=f"exp_growth(C={C:g})", d_eff=d_eff,
+        bound=dim_poly_space(n, d_eff), regime=f"exp_growth(C={C:g})",
+        d_eff=d_eff,
         params=(("a", a), ("b", b), ("A", 1.0 - 2.0 * a),
                 ("k", 2.0 * (a - b)), ("C", C), ("c1", c1)))

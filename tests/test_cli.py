@@ -19,8 +19,9 @@ from growthlab import (Check, builtin_model, closed_form_convexifier,
                        distance_from_origin, exp_growth_bound, growth,
                        load_profile_table, model_from_profile, model_hessian,
                        power_decay_regimes)
-from growthlab.cli import (SUITES, _CLOSED_H, _jsonable, main, parse_complex,
-                           parse_function, parse_radii, resolve_h)
+from growthlab.cli import (SUITES, _CLOSED_H, _jsonable, build_parser, main,
+                           parse_complex, parse_function, parse_radii,
+                           resolve_h)
 from growthlab.errors import DomainError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -176,6 +177,40 @@ def test_validation_error_exit_two(capsys):
         assert main(["three-circle", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and said in err, argv
+    # a non-finite float flag would end in a misleading verdict or a
+    # traceback
+    for argv, said in [
+            (["ode", "--g", "constant", "--c", "1", "--r-end", "inf"],
+             "--r-end"),
+            (["three-circle", "--f", "z", "--radii", "0.1:1:4", "--tol",
+              "nan"], "--tol"),
+            (["three-circle", "--model", "hyperbolic", "--f", "z", "--radii",
+              "0.5:1.5:3", "--h", "logr", "--tol", "inf"], "--tol"),
+            (["monotonicity", "--f", "z^2", "--radii", "0.5:20:12", "--d",
+              "inf"], "--d"),
+            (["homogeneity", "--f", "z^2", "--K", "nan", "--radii", "100"],
+             "--K"),
+            (["necessity", "--rtol", "nan"], "--rtol")]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {said} must be finite\n", argv
+
+
+def test_every_float_flag_must_be_finite(capsys):
+    # walks the parser, so that a new float flag cannot skip the check
+    _, subs = build_parser()
+    seen = 0
+    for command, sub in subs.choices.items():
+        for action in sub._actions:
+            if action.type is not float:
+                continue
+            flag = max(action.option_strings, key=len)
+            for value in ("nan", "inf", "-inf"):
+                assert main([command, f"{flag}={value}"]) == 2, (command, flag)
+                err = capsys.readouterr().err
+                assert err == f"error: {flag} must be finite\n", (command, flag)
+            seen += 1
+    assert seen >= 20
 
 
 def test_dimension_example(capsys):
@@ -539,6 +574,15 @@ def test_suite_dimension(capsys):
     assert "3/3 passed" in out
 
 
+def test_suite_prints_each_verdict_once(capsys):
+    assert main(["suite", "dimension"]) == 0
+    out = capsys.readouterr().out
+    names = [c.name for c in SUITES["dimension"]()]
+    assert len(names) == 3
+    for name in names:
+        assert out.count(name) == 1, name
+
+
 @pytest.mark.parametrize("argv", [["suite", "dimension"],
                                   ["dimension", "--regime", "poly"]])
 def test_csv_rejected_without_a_table(tmp_path, argv):
@@ -609,6 +653,10 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert err.startswith("error: config key") and next(iter(bad)) in err
     cfg.write_text(json.dumps({**run, "n": 1, "tol": 1e-6}))
     assert main(["three-circle", "--config", str(cfg)]) == 0
+    # json reads NaN; a non-finite config value is refused like the flag
+    cfg.write_text(json.dumps({**run, "tol": math.nan}))
+    assert main(["three-circle", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: --tol must be finite\n"
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,27 @@ def test_minus_one_h_prime_frozen_value():
     h = closed_form_convexifier("lower_bound_minus_one")
     assert h.h_prime(2.0) == pytest.approx(1.0 / math.sinh(2.0), abs=1e-14)
     assert h.h_prime(2.0) == pytest.approx(0.27573, abs=1e-5)
-    assert h.stated_offset == pytest.approx(math.log(2.0), abs=1e-15)
+    # the trigonometric h carry the factor 2 that makes e^h/r -> 1: they
+    # sit log 2 above the bare log-tanh and log-tan shapes
+    rs = np.array([0.05, 0.5, 1.0, 2.0, 3.0])
+    for tag, shape in (("lower_bound_minus_one", np.tanh),
+                       ("lower_bound_plus_one", np.tan)):
+        offset = (closed_form_convexifier(tag)(rs)
+                  - np.log(shape(0.5 * rs)))
+        assert np.max(np.abs(offset - math.log(2.0))) <= 1e-14, tag
+
+
+@pytest.mark.parametrize("tag,kw,end", [
+    ("nonneg", {}, math.inf),
+    ("lower_bound_minus_one", {}, math.inf),
+    ("lower_bound_plus_one", {}, math.pi),
+    ("cigar", {}, math.inf),
+    ("power_decay", {"A": 1.0, "eps": 0.4}, 1e6),
+])
+def test_catalog_h_domains(tag, kw, end):
+    # the last catalog column: where each h is defined (power_decay's h
+    # is a quadrature tabulated up to 1e6)
+    assert closed_form_convexifier(tag, **kw).domain == (0.0, end)
 
 
 @pytest.mark.parametrize("tag,c", EQUALITY_CATALOG)
@@ -468,6 +488,18 @@ def test_bound_validation():
         curvature_bound("no_such_tag")
     with pytest.raises(DomainError):
         curvature_bound("cigar", extra=1.0)
+    # a missing, non-finite or malformed parameter is named
+    for call, kw, name in [
+            (curvature_bound, {"tag": "constant"}, "c"),
+            (curvature_bound, {"tag": "power_decay", "A": 1.0}, "eps"),
+            (curvature_bound, {"tag": "inverse_square", "C": 0.1}, "r0"),
+            (closed_form_convexifier, {"tag": "power_decay"}, "A"),
+            (curvature_bound, {"tag": "constant", "c": math.nan}, "c"),
+            (closed_form_convexifier,
+             {"tag": "power_decay", "A": 1.0, "eps": math.inf}, "eps"),
+            (curvature_bound, {"tag": "constant", "c": "x"}, "c")]:
+        with pytest.raises(DomainError, match=f"parameter {name} "):
+            call(**kw)
 
 
 def test_supersolution_tag_validation():

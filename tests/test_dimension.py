@@ -183,7 +183,7 @@ def test_regimes_return_a_dimension_bound(A, eps, d, n, regime, bound,
                                           d_eff, extra):
     rep = power_decay_regimes(A, eps, d, n)
     assert isinstance(rep, DimensionBound)
-    assert (rep.n, rep.d, rep.regime) == (n, d, regime)
+    assert rep.regime == regime
     assert rep.bound == bound and rep.d_eff == d_eff
     assert dict(rep.params) == {
         "A": A, "eps": eps, "trivial_threshold": math.exp(-3.0 * A / eps),
