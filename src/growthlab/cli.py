@@ -244,18 +244,13 @@ def resolve_h(spec: str, model, radii: np.ndarray):
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _fmt_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
-
-
-def write_csv(path: str, header: list, rows: list) -> None:
+def write_csv(path: str, table: dict) -> None:
+    """Write table, {header: column}, as CSV; csv writes each float,
+    Python's or numpy's, in its shortest round-trip form."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        writer.writerow(table)
+        writer.writerows(zip(*table.values()))
 
 
 def _jsonable(obj):
@@ -278,18 +273,18 @@ def _jsonable(obj):
 
 
 def _echo_config(args) -> dict:
-    skip = {"command", "csv", "json", "config"}
+    skip = {"command", "run", "csv", "json", "config"}
     return {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
 
 
 def finish(args, checks: list, table, t0: float) -> int:
     """Print the verdicts, write the CSV table and the JSON report.
 
-    table is (header, rows) or None; it is written when --csv is given.
+    table is {header: column} or None; it is written when --csv is given.
     """
     csv_files = []
     if table is not None and args.csv:
-        write_csv(args.csv, *table)
+        write_csv(args.csv, table)
         csv_files.append(args.csv)
     raw_ok = all(c.passed for c in checks)
     expect = bool(getattr(args, "expect_violation", False))
@@ -339,8 +334,7 @@ def _cmd_curvature(args):
                     {"H_min": float(kurv.min()), "H_max": float(kurv.max()),
                      "H_origin": float(curvature_at_origin(model)),
                      "samples": int(radii.size)})]
-    return checks, (["r", "H", "u"], list(zip(radii.tolist(), kurv.tolist(),
-                                              hess.tolist())))
+    return checks, {"r": radii, "H": kurv, "u": hess}
 
 
 def _bound_from_args(args):
@@ -358,11 +352,11 @@ def _cmd_ode(args):
     u = solve_riccati_equality(g, r_end=args.r_end)
     # stop short of a blow-down, where rounding in u' + 2u^2 grows like u^2
     hi = min(args.r_end, 0.995 * u.r_max)
+    if not 0 < args.grid_lo < hi:
+        raise DomainError(f"--grid-lo must lie in (0, {hi:g})")
     grid = np.geomspace(args.grid_lo, hi, 400)
     rep = verify_supersolution(u, g, grid, tol=args.tol)
-    uu = np.asarray(u(grid), dtype=float)
-    return [rep], (["r", "u", "residual"], list(zip(
-        grid.tolist(), uu.tolist(), rep.residuals.tolist())))
+    return [rep], {"r": grid, "u": u(grid), "residual": rep.residuals}
 
 
 def _cmd_three_circle(args):
@@ -374,11 +368,9 @@ def _cmd_three_circle(args):
     h = resolve_h(args.h, model, radii)
     curve = growth_curve(model, f, center, radii)
     rep = three_circle_check(curve, h, tol=args.tol)
-    pad = [""] + [float(x) for x in rep.second_differences] + [""]
-    rows = [(float(r), float(hr), float(m), float(lm), sd)
-            for r, hr, m, lm, sd in zip(curve.radii, h(curve.radii),
-                                        curve.values, curve.log_values, pad)]
-    return [rep], (["r", "h", "M", "logM", "second_difference"], rows)
+    return [rep], {"r": radii, "h": h(radii), "M": curve.values,
+                   "logM": curve.log_values,
+                   "second_difference": ["", *rep.second_differences, ""]}
 
 
 def _cmd_monotonicity(args):
@@ -397,11 +389,8 @@ def _cmd_monotonicity(args):
     rep = monotonicity_check(curve, h, d, direction=args.direction,
                              tol=args.tol)
     hv = np.asarray(h(radii), dtype=float)
-    slack = curve.log_values - d * hv
-    return [rep], (["r", "h", "M", "logM", "t"],
-                   list(zip(radii.tolist(), hv.tolist(),
-                            curve.values.tolist(),
-                            curve.log_values.tolist(), slack.tolist())))
+    return [rep], {"r": radii, "h": hv, "M": curve.values,
+                   "logM": curve.log_values, "t": curve.log_values - d * hv}
 
 
 def _necessity_grid(model) -> np.ndarray:
@@ -416,7 +405,7 @@ def _cmd_necessity(args):
             else _necessity_grid(model))
     check = necessity_check(model, grid, args.rtol, args.atol)
     ratio = np.asarray(rho_of_r(model, grid), dtype=float) / grid
-    return [check], (["r", "ratio"], list(zip(grid.tolist(), ratio.tolist())))
+    return [check], {"r": grid, "ratio": ratio}
 
 
 def _cmd_homogeneity(args):
@@ -428,7 +417,7 @@ def _cmd_homogeneity(args):
               for r in radii]
     checks = [Check(f"homogeneity K={args.K:g}", args.tol - np.max(values),
                     {"value": max(values), "values": values})]
-    return checks, (["r", "value"], list(zip(radii.tolist(), values)))
+    return checks, {"r": radii, "value": values}
 
 
 def _cmd_dimension(args):
@@ -678,6 +667,14 @@ def build_parser():
                         action="store_true",
                         help="exit 0 only when a check reports a violation")
 
+    # parents share their action objects: a flag whose default differs by
+    # command (--radii) is declared in each command instead
+    spacing = argparse.ArgumentParser(add_help=False)
+    spacing.add_argument("--spacing", choices=["log", "linear"], default="log")
+    curve = argparse.ArgumentParser(add_help=False,
+                                    parents=[mod, csv_out, expect, spacing])
+    curve.add_argument("--f", help="monomial-sum expression")
+
     parser = argparse.ArgumentParser(
         prog="lab",
         description="growth laboratory for rotationally invariant metrics")
@@ -685,13 +682,14 @@ def build_parser():
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("curvature", parents=[mod, csv_out],
+    p = subs.add_parser("curvature", parents=[mod, csv_out, spacing],
                         help="tabulate curvature and radial Hessian")
+    p.set_defaults(run=_cmd_curvature)
     p.add_argument("--radii", default="0.05:5:40")
-    p.add_argument("--spacing", choices=["log", "linear"], default="log")
 
     p = subs.add_parser("ode", parents=[csv_out],
                         help="solve and verify the comparison equation")
+    p.set_defaults(run=_cmd_ode)
     p.add_argument("--g",
                    choices=["constant", "power_decay", "cigar"])
     p.add_argument("--c", type=float, default=0.0)
@@ -701,22 +699,20 @@ def build_parser():
     p.add_argument("--grid-lo", dest="grid_lo", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-8)
 
-    p = subs.add_parser("three-circle", parents=[mod, csv_out, expect],
+    p = subs.add_parser("three-circle", parents=[curve],
                         help="log M_f convexity in h")
-    p.add_argument("--f", help="monomial-sum expression")
+    p.set_defaults(run=_cmd_three_circle)
     p.add_argument("--center",
                    help="basepoint, n = 1 only; write a negative one as "
                         "--center=-0.5+0.2i")
     p.add_argument("--radii")
-    p.add_argument("--spacing", choices=["log", "linear"], default="log")
     p.add_argument("--h", default="auto", help="auto | logr")
     p.add_argument("--tol", type=float, default=1e-6)
 
-    p = subs.add_parser("monotonicity", parents=[mod, csv_out, expect],
+    p = subs.add_parser("monotonicity", parents=[curve],
                         help="log M_f - d h monotonicity")
-    p.add_argument("--f")
+    p.set_defaults(run=_cmd_monotonicity)
     p.add_argument("--radii")
-    p.add_argument("--spacing", choices=["log", "linear"], default="log")
     p.add_argument("--h", default="auto")
     p.add_argument("--d", type=float, default=None,
                    help="growth order; default deg f * model rho_order")
@@ -726,22 +722,23 @@ def build_parser():
 
     p = subs.add_parser("necessity", parents=[mod, csv_out, expect],
                         help="small-radius deficit versus H(0)/12")
+    p.set_defaults(run=_cmd_necessity)
     p.add_argument("--radii", default=None,
                    help="fit grid; default inside (0, 0.2 min(1, r_max))")
     p.add_argument("--rtol", type=float, default=0.05)
     p.add_argument("--atol", type=float, default=1e-3)
 
-    p = subs.add_parser("homogeneity", parents=[mod, csv_out, expect],
+    p = subs.add_parser("homogeneity", parents=[curve],
                         help="asymptotic homogeneity defect")
-    p.add_argument("--f")
+    p.set_defaults(run=_cmd_homogeneity)
     p.add_argument("--K", type=float, default=2.0)
     p.add_argument("--radii", default="100,1000,10000")
-    p.add_argument("--spacing", choices=["log", "linear"], default="log")
     p.add_argument("--d", type=float, default=None)
     p.add_argument("--tol", type=float, default=0.05)
 
     p = subs.add_parser("dimension", parents=[out],
                         help="dimension bounds and regimes")
+    p.set_defaults(run=_cmd_dimension)
     p.add_argument("--regime",
                    choices=["poly", "power-decay", "exp-growth", "from-h"])
     p.add_argument("--n", type=int, default=1)
@@ -756,21 +753,10 @@ def build_parser():
 
     p = subs.add_parser("suite", parents=[out],
                         help="pinned check bundles")
+    p.set_defaults(run=_cmd_suite)
     p.add_argument("name", choices=list(SUITES))
 
     return parser, subs
-
-
-_HANDLERS = {
-    "curvature": _cmd_curvature,
-    "ode": _cmd_ode,
-    "three-circle": _cmd_three_circle,
-    "monotonicity": _cmd_monotonicity,
-    "necessity": _cmd_necessity,
-    "homogeneity": _cmd_homogeneity,
-    "dimension": _cmd_dimension,
-    "suite": _cmd_suite,
-}
 
 
 def main(argv=None) -> int:
@@ -781,7 +767,7 @@ def main(argv=None) -> int:
             with open(args.config, encoding="utf-8") as fh:
                 try:
                     cfg = json.load(fh)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # bad JSON, or bytes not UTF-8
                     raise DomainError(f"config file: {exc}") from None
             if not isinstance(cfg, dict):
                 raise DomainError("config file must hold a JSON object")
@@ -813,7 +799,7 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"--{key.replace('_', '-')} must be finite")
         t0 = time.perf_counter()
-        checks, table = _HANDLERS[args.command](args)
+        checks, table = args.run(args)
         return finish(args, checks, table, t0)
     except (GrowthLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

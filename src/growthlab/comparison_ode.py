@@ -164,12 +164,15 @@ def curvature_bound(tag: str, **params) -> CurvatureLowerBound:
             tag=tag, params=(("C", C), ("r0", r0)))
     if tag == "cigar":
         _only(params)
-        return CurvatureLowerBound(
-            g=lambda r: 2.0 / np.cosh(np.asarray(r, dtype=float)) ** 2,
+        # 2/cosh^2 r in q = e^{-2r}, finite where cosh overflows
+        return CurvatureLowerBound(g=_on_arrays(
+            lambda r: 8.0 * np.exp(-2.0 * r) / (1.0 + np.exp(-2.0 * r)) ** 2),
             tag=tag)
     if tag == "custom":
-        g = params.pop("g")
+        g = params.pop("g", None)
         _only(params)
+        if not callable(g):
+            raise DomainError(f"custom bound needs a callable g, got {g!r}")
         return CurvatureLowerBound(g=g, tag=tag)
     raise DomainError(f"unknown curvature bound tag {tag!r}")
 
@@ -527,13 +530,16 @@ _CATALOG = {
         ("constant", {"c": 1.0}), math.pi,
         lambda r: np.log(2.0 * np.tan(0.5 * r)), lambda r: 1.0 / np.sin(r),
         lambda r: -np.cos(r) / np.sin(r) ** 2, math.pi),
+    # 1/sinh 2r, its u', log sinh r and -1/sinh^2 r, in q = e^{-2r}: finite
+    # where sinh overflows (r > ~355)
     "cigar": (
-        lambda r: 1.0 / np.sinh(2.0 * r),
-        lambda r: -2.0 * np.cosh(2.0 * r) / np.sinh(2.0 * r) ** 2,
+        lambda r: -2.0 * np.exp(-2.0 * r) / np.expm1(-4.0 * r),
+        lambda r: (-4.0 * np.exp(-2.0 * r) * (1.0 + np.exp(-4.0 * r))
+                   / np.expm1(-4.0 * r) ** 2),
         ("cigar", {}), math.inf,
-        # sinh overflows past r ~ 710; log sinh r = r + log1p(-e^{-2r}) - log 2
         lambda r: r + np.log1p(-np.exp(-2.0 * r)) - math.log(2.0),
-        lambda r: 1.0 / np.tanh(r), lambda r: -1.0 / np.sinh(r) ** 2,
+        lambda r: 1.0 / np.tanh(r),
+        lambda r: -4.0 * np.exp(-2.0 * r) / np.expm1(-2.0 * r) ** 2,
         math.inf),
 }
 # power_decay's h is a quadrature, tabulated on (0, _H_TABLE_END]

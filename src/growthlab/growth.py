@@ -439,9 +439,9 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
     return out
 
 
-def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
-                r: float = None) -> float:
-    """max |f| over the geodesic ball of radius r about center (default 0).
+def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex,
+                r: float) -> float:
+    """max |f| over the geodesic ball of radius r about center.
 
     The one-radius case of growth_curve.  Centered at the origin, single
     monomials use the closed form, and so do phase-alignable f on C (k
@@ -453,8 +453,6 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
     (n >= 2) at 480 n fixed quasirandom directions, the best 32 climbed by
     a Riemannian Newton ascent.
     """
-    if r is None:
-        raise DomainError("max_modulus needs a radius")
     return float(growth_curve(model, f, center, [r]).values[0])
 
 

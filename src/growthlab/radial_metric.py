@@ -183,8 +183,10 @@ def _cigar_model(n: int) -> RadialKahlerModel:
         conjugate_radius=math.inf, rho_order=math.inf,  # rho = sinh r
         f_r_of_rho=np.arcsinh,
         f_rho_of_r=np.sinh,
-        f_curvature=lambda r: 2.0 / np.cosh(r) ** 2,
-        f_hessian=lambda r: 1.0 / np.sinh(2.0 * r),
+        # 2/cosh^2 r and 1/sinh 2r in q = e^{-2r}, finite at every r
+        f_curvature=lambda r: (8.0 * np.exp(-2.0 * r)
+                               / (1.0 + np.exp(-2.0 * r)) ** 2),
+        f_hessian=lambda r: -2.0 * np.exp(-2.0 * r) / np.expm1(-4.0 * r),
         f_circle=_cigar_circle,
     )
 

@@ -194,6 +194,14 @@ def test_validation_error_exit_two(capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: {said} must be finite\n", argv
+    # the verify grid starts at --grid-lo and ends short of r_end and of a
+    # blow-down (pi/2 for c = 4)
+    for argv, end in [(["--c", "0", "--grid-lo", "0"], "49.75"),
+                      (["--c", "0", "--grid-lo", "-1"], "49.75"),
+                      (["--c", "4", "--grid-lo", "100"], "1.56")]:
+        assert main(["ode", "--g", "constant", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --grid-lo must lie in (0, {end}"), argv
 
 
 def test_every_float_flag_must_be_finite(capsys):
@@ -211,6 +219,23 @@ def test_every_float_flag_must_be_finite(capsys):
                 assert err == f"error: {flag} must be finite\n", (command, flag)
             seen += 1
     assert seen >= 20
+
+
+def test_radii_and_spacing_defaults(capsys):
+    # argparse parents share their actions, so a default set on one command
+    # through a shared --radii would reach the others
+    _, subs = build_parser()
+    radii = {"three-circle": None, "monotonicity": None, "necessity": None,
+             "curvature": "0.05:5:40", "homogeneity": "100,1000,10000"}
+    for command, default in radii.items():
+        assert subs.choices[command].get_default("radii") == default, command
+    for command in ["curvature", "three-circle", "monotonicity",
+                    "homogeneity"]:
+        assert subs.choices[command].get_default("spacing") == "log", command
+    for command in ["three-circle", "monotonicity"]:
+        assert main([command, "--f", "z"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --radii is required (flag or config file)\n"
 
 
 def test_dimension_example(capsys):
@@ -657,6 +682,10 @@ def test_config_errors_exit_two(tmp_path, capsys):
     cfg.write_text(json.dumps({**run, "tol": math.nan}))
     assert main(["three-circle", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: --tol must be finite\n"
+    # bytes that are not UTF-8 are a config error too, not a traceback
+    cfg.write_bytes(b"\xff\xfe{}")
+    assert main(["three-circle", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: config file: ")
 
 
 # ---------------------------------------------------------------------------

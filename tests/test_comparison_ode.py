@@ -1,5 +1,6 @@
 """Riccati supersolutions, convexifiers, growth exponents."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -500,6 +501,37 @@ def test_bound_validation():
             (curvature_bound, {"tag": "constant", "c": "x"}, "c")]:
         with pytest.raises(DomainError, match=f"parameter {name} "):
             call(**kw)
+    # a custom bound needs a callable g, or the solve fails far from here
+    for kw in [{}, {"g": 3.0}]:
+        with pytest.raises(DomainError, match="callable g"):
+            curvature_bound("custom", **kw)
+
+
+def test_cigar_closed_forms_finite_at_large_r():
+    # written in q = e^{-2r}, they stay finite and raise no warning where
+    # sinh and cosh overflow (r > ~355), and match the textbook forms
+    # wherever those are finite and nonzero
+    r = np.array([1e-3, 0.5, 1.0, 5.0, 20.0, 360.0, 400.0, 800.0])
+    cigar, u = builtin_model("cigar"), closed_form_supersolution("cigar")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [radial_curvature(cigar, r), curvature_bound("cigar").g(r),
+               model_hessian(cigar, r), u(r), u.u_prime(r),
+               closed_form_convexifier("cigar").h_second(r)]
+    with np.errstate(all="ignore"):
+        want = [2.0 / np.cosh(r) ** 2, 2.0 / np.cosh(r) ** 2,
+                1.0 / np.sinh(2.0 * r), 1.0 / np.sinh(2.0 * r),
+                -2.0 * np.cosh(2.0 * r) / np.sinh(2.0 * r) ** 2,
+                -1.0 / np.sinh(r) ** 2]
+    for new, old in zip(got, want):
+        new = np.asarray(new, dtype=float)
+        assert np.all(np.isfinite(new))
+        keep = np.isfinite(old) & (old != 0)
+        assert np.allclose(new[keep], old[keep], rtol=1e-15, atol=0)
+    # u solves the Riccati equation of its own bound out to r = 400
+    rep = verify_supersolution(u, curvature_bound("cigar"),
+                               np.geomspace(1.0, 400.0, 50))
+    assert rep.verdict == "pass"
 
 
 def test_supersolution_tag_validation():
