@@ -314,8 +314,8 @@ def circle_interpolator(lam, logd, center: complex, r) -> Callable:
     """phi -> z(phi) on the geodesic circles of radius r about center.
 
     logd is (log lam)'(rho)/rho, with its even limit at rho = 0; r is a
-    radius or a 1-d array of them, and z(phi) has shape r.shape +
-    phi.shape.  With the center rotated onto the positive axis each
+    radius or a 1-d array of them, and phi is shared or per circle, as in
+    geodesic_circle.  With the center rotated onto the positive axis each
     circle is symmetric under conjugation (lam depends on |z| only), so
     the _N_BASE // 2 + 1 launch angles in [0, pi] are integrated once
     through every radius and mirrored.  A circle is the trigonometric
@@ -340,11 +340,14 @@ def circle_interpolator(lam, logd, center: complex, r) -> Callable:
     shape = np.shape(r)
 
     def at(phi):
-        w = np.exp(1j * np.ravel(phi))
-        powers = np.concatenate([np.ones((1, w.size)),
-                                 np.broadcast_to(w, (half, w.size))])
+        own = np.ndim(phi) > 1  # row k holds circle k's own angles
+        w = np.exp(1j * (np.asarray(phi) if own else np.reshape(phi, (1, -1))))
+        powers = np.ones((half + 1,) + w.shape, dtype=complex)
+        powers[1:] = w
         np.cumprod(powers, axis=0, out=powers)
-        z = cos_coef @ powers.real + 1j * (sin_coef @ powers.imag[1:half])
-        return (z * (center / a)).reshape(shape + np.shape(phi))
+        dot = ((lambda c, p: np.einsum("ki,ikm->km", c, p)) if own
+               else (lambda c, p: c @ p[:, 0]))
+        z = dot(cos_coef, powers.real) + 1j * dot(sin_coef, powers.imag[1:half])
+        return (z * (center / a)).reshape(shape + np.shape(phi)[own:])
 
     return at

@@ -327,7 +327,10 @@ def finish(args, checks: list, table, t0: float) -> int:
 
 def _cmd_curvature(args):
     model = build_model(args)
-    radii = parse_radii(args.radii, args.spacing)
+    # by default 0.05 to 5, ending inside r_max on a bounded chart
+    top = min(5.0, 0.95 * model.r_max)
+    radii = parse_radii(args.radii or f"{min(0.05, top / 10)!r}:{top!r}:40",
+                        args.spacing)
     kurv = np.asarray(radial_curvature(model, radii), dtype=float)
     hess = np.asarray(model_hessian(model, radii), dtype=float)
     checks = [Check("curvature-table", 0.0,
@@ -685,7 +688,7 @@ def build_parser():
     p = subs.add_parser("curvature", parents=[mod, csv_out, spacing],
                         help="tabulate curvature and radial Hessian")
     p.set_defaults(run=_cmd_curvature)
-    p.add_argument("--radii", default="0.05:5:40")
+    p.add_argument("--radii")
 
     p = subs.add_parser("ode", parents=[csv_out],
                         help="solve and verify the comparison equation")

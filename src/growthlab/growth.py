@@ -22,8 +22,9 @@ one-radius case:
     rotation aligns the phases of all terms, so M is the maximum of
     sum |c_a| rho^|a| s^a over s >= 0, |s| = 1: a closed form on C, the
     peak of g = sum |c_a| z^a on the real circle rho (cos, sin) on C^2;
-  * n = 1: |f| is sampled on each circle, and peaks placed on interpolants
-    of the samples are refined together by parabolas through true values.
+  * n = 1: |f| is sampled on each circle, and a peak placed on the
+    interpolant of the best samples is moved once more on the interpolant
+    of seven true values about it; each circle is asked for its own angles.
     Off-center circles (n = 1 only) are closed forms or, without one, one
     exp-map integration through every radius;
   * other polynomials on C^n, n >= 2: |f| is sampled at fixed quasirandom
@@ -216,8 +217,6 @@ _STARTS = 32         # best sampled directions polished per sphere
 _NEWTON_STEPS = 100  # Newton iterations per member, at most
 _HALVINGS = 50       # step halvings per Newton iteration, at most
 _RAY_SAMPLES = 24    # sample rays of homogeneity_check
-_BEND = 1e-8         # relative second difference of the circle probes
-_PROBE_ROUNDS = 20   # probe rounds per circle, at most
 # samples at u = -3 .. 3 -> u-coefficients of the first and second derivative
 # of their interpolant; a Lagrange basis from roots imports no LAPACK
 _NODES, _DERIVS = np.arange(-3, 4), np.zeros((7, 12))
@@ -335,9 +334,9 @@ def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int) -> np.ndarray:
     """max |f| on the spheres |z| = rho of C^n, n >= 2, one per entry."""
     zeta = _directions(f.n, count)
     vals = _samples(f, zeta, rho)
-    if not np.all(np.isfinite(vals)):
-        raise MaximizationError("maximum-modulus search failed")
     best = vals.max(axis=1)
+    if not np.all(np.isfinite(best)):
+        return best
     top = np.argsort(vals, axis=1)[:, -_STARTS:]
     peaks, peak_vals = _sphere_ascent(
         f, (rho[:, None, None] * zeta[top]).reshape(-1, f.n),
@@ -358,42 +357,31 @@ def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int) -> np.ndarray:
 
 def _circle_peaks(f: HoloPoly, circle: Callable, phis: np.ndarray,
                   vals: np.ndarray) -> np.ndarray:
-    """Refine the best of the samples vals = |f(circle(phis))|, all rows:
-    three Newton steps on the degree-6 interpolant of the best sample and
-    three neighbours on each side give a peak v; probes at v and v +- e
-    (e bends them by about _BEND, at most a tenth of a spacing) move v to
-    their parabola's vertex, or to the higher probe with e widened 4 times
-    where they do not bend down, until v moves at most e/4 on an unwidened
-    e.  Returns the largest value seen."""
+    """Refine the best of the samples vals = |f(circle(phis))|, all rows,
+    in two passes of three Newton steps on the degree-6 interpolant of
+    seven values about v: the best sample and its three neighbours on each
+    side (spacing h), then true values at v + (h/16)(-3 .. 3).  Two circle
+    calls, each asking every circle for its own angles only, give those
+    and |f| at the final v.  Returns the largest value seen, or at once
+    the sample maxima where one is not finite."""
     i, count = np.argmax(vals, axis=1), vals.shape[1]
-    out = vals[np.arange(i.size), i]
-    rows = np.nonzero(np.isfinite(out))[0]
-    y = vals[rows[:, None], (i[rows, None] + _NODES) % count] / out[rows, None]
-    derivs, u = (y @ _DERIVS).reshape(-1, 2, 6), np.zeros(rows.size)
-    for _ in range(3):
-        g, k = np.einsum("rdj,rj->dr", derivs, u[:, None] ** np.arange(6))
-        # a step of 2 or more, or one up a convex stretch, ends at an edge
-        step = np.divide(g, -k, out=2.0 * np.sign(g), where=-k > 0.5 * abs(g))
-        u = np.minimum(np.maximum(u + step, -1.0), 1.0)
-    v = phis[i[rows]] + phis[1] * u
-    e0 = phis[1] * np.sqrt(_BEND / np.maximum(-k, 100.0 * _BEND))
-    e, live = e0.copy(), np.arange(rows.size)
-    for _ in range(_PROBE_ROUNDS):
-        if live.size == 0:
-            break
-        t = (v[live, None] + e[live, None] * [-1.0, 0.0, 1.0]).ravel()
-        z = circle(t)[rows[live].repeat(3), np.arange(t.size)]
-        fs = np.abs(f.eval(z)).reshape(-1, 3).T
-        out[rows[live]] = np.fmax(out[rows[live]], np.fmax.reduce(fs))
-        ep, (a, b, c) = e[live], fs / out[rows[live]]
-        den = 2.0 * b - a - c
-        s = np.clip(np.divide(0.5 * ep * (c - a), den, where=den > 0.0,
-                              out=np.sign(c - a) * ep), -phis[1], phis[1])
-        v[live] += s
-        e[live] = np.where(den > 0.0, e0[live], 4.0 * ep)
-        live = live[(abs(s) > 0.25 * ep) | (ep > e0[live])]
-    fv = np.abs(f.eval(circle(v)[rows, np.arange(rows.size)]))
-    out[rows] = np.fmax(out[rows], fv)
+    out = vals.max(axis=1)
+    if not np.all(np.isfinite(out)):
+        return out
+    y = np.take_along_axis(vals, (i[:, None] + _NODES) % count, axis=1)
+    v, s = phis[i], phis[1]
+    for nodes in (_NODES, np.zeros(1)):
+        derivs = ((y / out[:, None]) @ _DERIVS).reshape(-1, 2, 6)
+        u = np.zeros(v.size)
+        for _ in range(3):
+            g, k = np.einsum("rdj,rj->dr", derivs, u[:, None] ** np.arange(6))
+            # a step of 2 or more, or one up a convex stretch, ends at an edge
+            step = np.divide(g, -k, out=2.0 * np.sign(g),
+                             where=-k > 0.5 * abs(g))
+            u = np.minimum(np.maximum(u + step, -1.0), 1.0)
+        v, s = v + s * u, s / 16.0
+        y = np.abs(f.eval(circle(v[:, None] + s * nodes)))
+        out = np.fmax(out, np.fmax.reduce(y, axis=1))
     return out
 
 
@@ -420,20 +408,23 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
         raise DomainError("polynomial and model dimension differ")
     if center != 0 and f.n != 1:
         raise DomainError("off-center balls are supported for n=1 only")
-    k = len(f.coeffs)
-    if center == 0 and (k <= 2 or f.n > 1):
-        rho = np.asarray(rho_of_r(model, rs), dtype=float)
-        if k == 1:
-            return _monomial_max(f, rho)
-        e = f._exponents  # alignable: e_t - e_0 linearly independent
-        if f.n > 2 or np.linalg.matrix_rank(e[1:] - e[0]) < k - 1:
-            return _sphere_max(f, rho, 480 * f.n)
-        out = _aligned_max(f, rho)
-    else:
-        circle = geodesic_circle(model, center, rs)
-        count = max(720, 16 * max(f.degree, 1))
-        phis = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-        out = _circle_peaks(f, circle, phis, np.abs(f.eval(circle(phis))))
+    k, e = len(f.coeffs), f._exponents
+    # every overflow, rho's too (rho_of_r would stop at it), ends at the
+    # one check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if center == 0 and (k <= 2 or f.n > 1):
+            rho = np.asarray(model.f_rho_of_r(rs), dtype=float)
+            if k == 1:
+                out = _monomial_max(f, rho)
+            elif f.n > 2 or np.linalg.matrix_rank(e[1:] - e[0]) < k - 1:
+                out = _sphere_max(f, rho, 480 * f.n)
+            else:  # alignable: e_t - e_0 linearly independent
+                out = _aligned_max(f, rho)
+        else:
+            circle = geodesic_circle(model, center, rs)
+            count = max(720, 16 * max(f.degree, 1))
+            phis = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+            out = _circle_peaks(f, circle, phis, np.abs(f.eval(circle(phis))))
     if not np.all(np.isfinite(out)) or np.any(out < 0):
         raise MaximizationError("maximum-modulus search failed")
     return out
@@ -449,9 +440,9 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex,
     the peak of sum |c_a| z^a on a real circle.  Otherwise |f| is sampled
     on the geodesic sphere: on a circle (n = 1) at max(720, 16 deg)
     launch angles, a peak placed on an interpolant of the best ones, then
-    refined by parabolas through true values; on the sphere of C^n
-    (n >= 2) at 480 n fixed quasirandom directions, the best 32 climbed by
-    a Riemannian Newton ascent.
+    moved on an interpolant of seven true values at a sixteenth of their
+    spacing; on the sphere of C^n (n >= 2) at 480 n fixed quasirandom
+    directions, the best 32 climbed by a Riemannian Newton ascent.
     """
     return float(growth_curve(model, f, center, [r]).values[0])
 
@@ -463,16 +454,18 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
     center (n = 1 only) defaults to the origin, as does None.
 
     All radii are evaluated together by the method of max_modulus: the
-    circle refinements (about two circle-map calls a curve) and sphere
-    ascents of all radii run as one batch (spheres climb again from each
-    other radius's best direction), and off-center balls take
-    closed-form circles or share one exp-map integration.
+    circle refinements (two circle-map calls a curve, each circle at its
+    own angles) and sphere ascents of all radii run as one batch (spheres
+    climb again from each other radius's best direction), and off-center
+    balls take closed-form circles or share one exp-map integration.
     """
     rs = np.asarray(radii, dtype=float)
     if rs.ndim != 1 or rs.size == 0:
         raise DomainError("radii must be a nonempty 1-d list")
     if np.any(rs <= 0) or np.any(np.diff(rs) <= 0):
         raise DomainError("radii must be positive and strictly increasing")
+    if rs[-1] >= model.r_max:
+        raise DomainError(f"radii must lie below r_max = {model.r_max}")
     center = complex(center or 0)
     vals = _max_moduli(model, f, center, rs)
     drop = vals[1:] < vals[:-1] * (1.0 - 1e-9)

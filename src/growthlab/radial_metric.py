@@ -51,6 +51,8 @@ import numpy as np
 from . import _numdiff, _shooting  # noqa: F401
 from .errors import BudgetError, ConjugatePointError, DomainError, ShootingError
 
+_SINH_TOP = math.asinh(np.finfo(float).max)  # 710.4758600739439: last finite sinh
+
 __all__ = [
     "RadialProfile",
     "RadialKahlerModel",
@@ -111,7 +113,8 @@ class RadialKahlerModel:
     f_rho_of_r: Callable
     f_curvature: Callable                    # H(r)
     f_hessian: Callable                      # u(r)
-    f_circle: Callable                       # (center, r) -> (phi -> z)
+    # (center, r) -> (phi -> z), phi shared or one row per circle
+    f_circle: Callable
     params: tuple = ()
     f_pair_distance: Callable | None = None  # d(p, q), complex args
 
@@ -123,6 +126,11 @@ class RadialKahlerModel:
 # ---------------------------------------------------------------------------
 # profile / model constructors
 
+def _per_circle(x, phi):
+    """x, one entry per circle, against the angles phi (geodesic_circle)."""
+    return x[..., None] if np.ndim(phi) else x
+
+
 def _moebius_circle(f_rho_of_r: Callable, s: float) -> Callable:
     """Isometry T(w) = (w + p) / (1 + s conj(p) w) of w = rho(r) e^{i(phi +
     arg p)}; s = 0, 1, -1 on flat, hyperbolic, sphere.  T'(0) > 0 keeps phi."""
@@ -130,7 +138,7 @@ def _moebius_circle(f_rho_of_r: Callable, s: float) -> Callable:
         rho = f_rho_of_r(np.asarray(r, dtype=float))
 
         def at(phi):
-            w = np.multiply.outer(rho, np.exp(1j * np.add(phi, np.angle(p))))
+            w = _per_circle(rho, phi) * np.exp(1j * np.add(phi, np.angle(p)))
             return (w + p) / (1.0 + s * np.conj(p) * w)
         return at
     return circle
@@ -149,8 +157,8 @@ def _cigar_circle(p, r):
         c = a * np.sin(phi) / math.sqrt(1.0 + a * a)
         k = np.sqrt((1.0 - c) * (1.0 + c))
         x0 = np.arcsinh(a * np.cos(phi))
-        x = x0 + np.multiply.outer(rs, k)
-        theta = (np.multiply.outer(rs, c) + np.arctan2(k * np.tanh(x), c)
+        x = x0 + _per_circle(rs, phi) * k
+        theta = (_per_circle(rs, phi) * c + np.arctan2(k * np.tanh(x), c)
                  - np.arctan2(k * np.tanh(x0), c))
         rho = np.sqrt(np.sinh(x) ** 2 + c * c) / k
         return rho * np.exp(1j * theta) * (p / a)
@@ -578,11 +586,17 @@ def distance_from_origin(model: RadialKahlerModel, rho) -> float:
 
 
 def rho_of_r(model: RadialKahlerModel, r):
-    """Invert r(rho): closed form, or table Hermite guess and Newton steps."""
+    """Invert r(rho): closed form, or table Hermite guess and Newton steps;
+    DomainError where rho overflows (only the cigar's sinh r can)."""
     r_arr = np.asarray(r, dtype=float)
     _require((r_arr >= 0) & (r_arr < model.r_max), r_arr,
              f"r must lie in [0, {model.r_max})")
-    return _shaped(model.f_rho_of_r(r_arr), r)
+    with np.errstate(over="ignore"):
+        rho = model.f_rho_of_r(r_arr)
+    if not np.isfinite(rho).all():
+        _require(np.isfinite(rho), r_arr,
+                 f"rho = sinh r overflows past r = {_SINH_TOP!r}")
+    return _shaped(rho, r)
 
 
 def radial_curvature(model: RadialKahlerModel, r):
@@ -695,8 +709,10 @@ def geodesic_circle(model: RadialKahlerModel, center, r) -> Callable:
 
     The parametrization is by launch angle of the exponential map at the
     center (phi = 0 points away from the origin).  r may also be a 1-d
-    array of radii; z(phi) then has shape r.shape + phi.shape, one row per
-    circle.  Circles about the origin are exact; the others are the
+    array of radii, one circle each: angles phi of shape (m,) are shared
+    (z has shape r.shape + (m,), or r.shape for a scalar phi), and phi of
+    shape r.shape + (m,) gives circle k the angles phi[k].  Circles
+    about the origin are exact; the others are the
     model's f_circle: exact on the built-in closed-form models, and on the
     tabulated backend 1024 launch angles integrated through every radius
     at once and interpolated trigonometrically.
@@ -709,7 +725,7 @@ def geodesic_circle(model: RadialKahlerModel, center, r) -> Callable:
         raise DomainError("point outside the chart")
     if center == 0:
         rr = np.asarray(rho_of_r(model, rs), dtype=float)
-        return lambda phi: np.multiply.outer(rr, np.exp(1j * np.asarray(phi)))
+        return lambda phi: _per_circle(rr, phi) * np.exp(1j * np.asarray(phi))
     if distance_from_origin(model, abs(center)) + np.max(rs) >= model.r_max:
         raise DomainError("geodesic circle leaves the chart")
     return model.f_circle(center, rs)

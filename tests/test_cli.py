@@ -19,9 +19,9 @@ from growthlab import (Check, builtin_model, closed_form_convexifier,
                        distance_from_origin, exp_growth_bound, growth,
                        load_profile_table, model_from_profile, model_hessian,
                        power_decay_regimes)
-from growthlab.cli import (SUITES, _CLOSED_H, _jsonable, build_parser, main,
-                           parse_complex, parse_function, parse_radii,
-                           resolve_h)
+from growthlab.cli import (SUITES, _CLOSED_H, _jsonable, build_model,
+                           build_parser, main, parse_complex, parse_function,
+                           parse_radii, resolve_h)
 from growthlab.errors import DomainError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -226,7 +226,7 @@ def test_radii_and_spacing_defaults(capsys):
     # through a shared --radii would reach the others
     _, subs = build_parser()
     radii = {"three-circle": None, "monotonicity": None, "necessity": None,
-             "curvature": "0.05:5:40", "homogeneity": "100,1000,10000"}
+             "curvature": None, "homogeneity": "100,1000,10000"}
     for command, default in radii.items():
         assert subs.choices[command].get_default("radii") == default, command
     for command in ["curvature", "three-circle", "monotonicity",
@@ -569,6 +569,46 @@ def test_homogeneity_overflow_is_one_error_line(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "overflows" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["three-circle", "--model", "cigar", "--f", "z", "--radii", "700:720:3"],
+    ["three-circle", "--f", "z^200", "--radii", "10:1000:3"],
+    ["three-circle", "--n", "2", "--f", "z1^200", "--radii", "10:1000:3"],
+    ["monotonicity", "--f", "z^200", "--radii", "10:1000:3"],
+    ["three-circle", "--f", "z^200+z", "--radii", "10:1000:3"],
+])
+def test_overflowing_curve_is_one_error_line_without_warnings(capsys, argv):
+    # monomials and the aligned route overflow like the other routes: one
+    # error line and exit 2, with no RuntimeWarning (which tier-1 turns
+    # into an error) and no verdict read off an infinite or NaN value
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: maximum-modulus search failed\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "flat"], ["--model", "cigar"], ["--model", "hyperbolic"],
+    ["--model", "sphere"], ["--model", "sphere", "--kappa", "4"],
+    ["--model", "sphere", "--kappa", "5000"],
+    ["--model", "poly", "--coeffs", "1,0.5"],
+    ["--model", "poly", "--coeffs", "1,-0.5"],
+    ["--model", "table", "--table",
+     str(ROOT / "perfbench" / "cigar_61.txt")],
+])
+def test_curvature_default_grid_fits_every_model(tmp_path, argv):
+    # the bare command runs on every chart: 40 radii from 0.05 to 5, or to
+    # inside r_max where the chart ends sooner (sphere r_max pi, pi/2 and
+    # 0.044, the table 2.49, the cusped poly 0.943)
+    path = tmp_path / "k.csv"
+    assert main(["curvature", *argv, "--csv", str(path)]) == 0
+    r = np.loadtxt(path, delimiter=",", skiprows=1)[:, 0]
+    args = build_parser()[0].parse_args(["curvature", *argv])
+    r_max = build_model(args).r_max
+    assert r.size == 40 and 0 < r[0] <= 0.05 and r[-1] < r_max
+    if r_max > 5:
+        assert r.tolist() == np.geomspace(0.05, 5, 40).tolist()
 
 
 @pytest.mark.parametrize("f", ["z1^2+z1*z2+z2^2", "z1^4+z2"])

@@ -472,6 +472,16 @@ def test_circle_shapes(route):
         circle = geodesic_circle(m, c, r)
         for phi in (0.4, np.linspace(0, 6, 5)):
             assert np.shape(circle(phi)) == np.shape(r) + np.shape(phi)
+    # angles of shape r.shape + (m,): row k is circle k at its own angles
+    rs = np.array([0.3, 0.7, 1.1])
+    phi = np.linspace(0, 6, 21).reshape(3, 7)
+    for model in [m] + [builtin_model("sphere")] * (route == "closed"):
+        circle = geodesic_circle(model, c, rs)
+        z = circle(phi)
+        assert z.shape == phi.shape
+        for k in range(rs.size):
+            ref = circle(phi[k])[k]
+            assert np.max(np.abs(z[k] / ref - 1.0)) <= 1e-14, (route, k)
 
 
 def test_circle_validation():

@@ -596,7 +596,7 @@ def test_circle_refinement_work_is_quadratic(monkeypatch):
 
 def test_circle_refinement_makes_few_circle_calls(monkeypatch):
     # after its sampling call, a curve's refinement asks the circle map for
-    # one probe round and the final vertices, rarely for more rounds
+    # seven angles per circle, then for one: exactly two calls
     calls = []
     make_circle = growth.geodesic_circle
 
@@ -627,7 +627,33 @@ def test_circle_refinement_makes_few_circle_calls(monkeypatch):
             calls.clear()
             growth_curve(model, f, center, np.geomspace(0.1, 1.0, 7) * top)
             refinements.append(len(calls) - 1)
+            assert [np.shape(phi) for phi in calls[1:]] == [(7, 7), (7, 1)]
     assert np.mean(refinements) <= 3.0, np.bincount(refinements)
+
+
+def test_circle_refinement_asks_each_circle_for_its_own_angles(monkeypatch):
+    # 600 off-center cigar radii: after sampling, no circle-map call returns
+    # more than seven points per circle (no radii x angles array is built
+    # to keep its diagonal)
+    sizes = []
+    make_circle = growth.geodesic_circle
+
+    def counted(*args):
+        circle = make_circle(*args)
+
+        def at(phi):
+            z = circle(phi)
+            sizes.append(z.size)
+            return z
+        return at
+
+    monkeypatch.setattr(growth, "geodesic_circle", counted)
+    f = HoloPoly(1, {0: 0.3, 1: 1.0 - 0.5j, 3: 0.4j})
+    radii = np.geomspace(0.05, 3.0, 600)
+    curve = growth_curve(CIGAR, f, 0.6 + 0.5j, radii)
+    assert np.all(np.isfinite(curve.values))
+    assert sizes[0] == 600 * 720
+    assert len(sizes) == 3 and max(sizes[1:]) <= 7 * 600, sizes
 
 
 def test_circle_refinement_does_not_stop_low():

@@ -118,6 +118,16 @@ def test_tabulated_round_trip_steep_profiles(model, rho_top):
     assert np.max(np.abs(distance_from_origin(model, rho) / rs - 1)) <= 1e-12
 
 
+def test_cigar_rho_stops_at_the_float_range():
+    # sinh r is finite up to r = asinh(max float) and not past it: rho_of_r
+    # names that limit, as the tabulated chart names the end of its table
+    cigar = builtin_model("cigar")
+    assert math.isfinite(rho_of_r(cigar, 710.4758600739439))
+    with pytest.raises(DomainError,
+                       match=r"past r = 710\.4758600739439, got 720\.0"):
+        rho_of_r(cigar, [1.0, 720.0])
+
+
 def test_steep_profiles_build_without_warnings():
     # lam = exp(rho^2) overflows on the last G panels: they are not fitted
     with warnings.catch_warnings():

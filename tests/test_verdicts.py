@@ -2,9 +2,11 @@
 
 tests/verdicts.json holds one entry per run: its argv ("{root}" stands for
 the repository), an optional config file, the exit code, and for each check
-its name, verdict and signed margin.  Exit codes, names and verdicts must
-match exactly, and margins within 1e-9 + 1e-6 |margin|; non-finite margins
-are compared as the strings the JSON report writes.  A change that moves a
+its name, verdict and signed margin.  A run that stops with exit 2 writes
+no report: its entry has no checks and pins its one stderr line as
+"error".  Exit codes, error lines, names and verdicts must match exactly,
+and margins within 1e-9 + 1e-6 |margin|; non-finite margins are compared
+as the strings the JSON report writes.  A change that moves a
 margin past that, or a verdict, rewrites the entry and says so.
 """
 import json
@@ -29,7 +31,10 @@ def test_verdict_ledger(tmp_path, monkeypatch, capsys, entry):
         argv += ["--config", "cfg.json"]
     path = tmp_path / "ledger.json"
     assert main(argv + ["--json", str(path)]) == entry["exit"]
-    got = json.loads(path.read_text())["checks"]
+    if "error" in entry:
+        assert capsys.readouterr().err == entry["error"] + "\n"
+        assert not path.exists()
+    got = json.loads(path.read_text())["checks"] if path.exists() else []
     assert ([(c["name"], c["verdict"]) for c in got]
             == [(c["name"], c["verdict"]) for c in entry["checks"]])
     for check, want in zip(got, entry["checks"]):
