@@ -17,18 +17,21 @@ evaluates all of its radii in one pass, and max_modulus is its
 one-radius case:
 
   * monomials centered at the origin have a closed form;
-  * phase-alignable f centered there on C and C^2: when the exponent
+  * phase-alignable f centered there on C^n: when the exponent
     differences a_t - a_0 of its k terms have rank k - 1, one torus
     rotation aligns the phases of all terms, so M is the maximum of
     sum |c_a| rho^|a| s^a over s >= 0, |s| = 1: a closed form on C, the
-    peak of g = sum |c_a| z^a on the real circle rho (cos, sin) on C^2;
+    peak of g = sum |c_a| z^a on the real circle rho (cos, sin) on C^2,
+    and on C^n, n >= 3, g sampled on a grid of the positive orthant
+    (corners, edges and faces included), its best four points per sphere
+    climbed by the ascent below;
   * n = 1: |f| is sampled on each circle, and a peak placed on the
     interpolant of the best samples is moved once more on the interpolant
     of seven true values about it; each circle is asked for its own angles.
     Off-center circles (n = 1 only) are closed forms or, without one, one
     exp-map integration through every radius;
   * other polynomials on C^n, n >= 2: |f| is sampled at fixed quasirandom
-    directions on each sphere, and the best 32 per sphere climb together,
+    directions on each sphere, and the best 8 n per sphere climb together,
     over all radii at once, by a saddle-free Riemannian Newton ascent of
     |f|^2 to rounding level.  A curve then climbs once more on every
     sphere from the direction of each sphere's best point.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -213,7 +217,23 @@ def _directions(n: int, count: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-_STARTS = 32         # best sampled directions polished per sphere
+@functools.cache
+def _orthant_grid(n: int, count: int) -> np.ndarray:
+    """The points sqrt(q / N) of the unit sphere's positive orthant in R^n,
+    for integers q >= 0 with sum q = N, the largest N that gives at most
+    count points; corners, edges and faces included.  Each q is read off
+    n - 1 bars placed among N + n - 1 slots (stars and bars)."""
+    N = 1
+    while math.comb(N + n, n - 1) <= count:
+        N += 1
+    bars = np.array(list(itertools.combinations(range(N + n - 1), n - 1)))
+    ends = np.full((bars.shape[0], 1), -1)
+    q = np.diff(np.concatenate([ends, bars, ends + N + n], axis=1)) - 1
+    return np.sqrt(q / N)
+
+
+_STARTS = 8          # best sampled directions polished per sphere, times n
+_ORTHANT_STARTS = 4  # best orthant grid points polished per sphere
 _NEWTON_STEPS = 100  # Newton iterations per member, at most
 _HALVINGS = 50       # step halvings per Newton iteration, at most
 _RAY_SAMPLES = 24    # sample rays of homogeneity_check
@@ -330,24 +350,34 @@ def _samples(f: HoloPoly, zeta: np.ndarray, rho: np.ndarray) -> np.ndarray:
                   @ (f._coefs[:, None] * rho ** e.sum(axis=1)[:, None])).T
 
 
-def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int) -> np.ndarray:
-    """max |f| on the spheres |z| = rho of C^n, n >= 2, one per entry."""
-    zeta = _directions(f.n, count)
+def _climb(f: HoloPoly, rho: np.ndarray, zeta: np.ndarray,
+           starts: int) -> tuple:
+    """Sample |f| at rho zeta for unit vectors zeta (count, n), one row per
+    sphere |z| = rho, and climb the best starts samples of every sphere
+    together.  Returns the per-sphere maxima, the peaks (spheres, starts,
+    n) and their values, or the sample maxima and None where one is not
+    finite."""
     vals = _samples(f, zeta, rho)
     best = vals.max(axis=1)
     if not np.all(np.isfinite(best)):
-        return best
-    top = np.argsort(vals, axis=1)[:, -_STARTS:]
+        return best, None, None
+    top = np.argsort(vals, axis=1)[:, -starts:]
     peaks, peak_vals = _sphere_ascent(
         f, (rho[:, None, None] * zeta[top]).reshape(-1, f.n),
         np.take_along_axis(vals, top, axis=1).ravel())
     peak_vals = peak_vals.reshape(top.shape)
-    best = np.maximum(best, peak_vals.max(axis=1))
-    if rho.size > 1:
+    return (np.maximum(best, peak_vals.max(axis=1)),
+            peaks.reshape(top.shape + (f.n,)), peak_vals)
+
+
+def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int) -> np.ndarray:
+    """max |f| on the spheres |z| = rho of C^n, n >= 2, one per entry."""
+    best, peaks, peak_vals = _climb(f, rho, _directions(f.n, count),
+                                    _STARTS * f.n)
+    if peaks is not None and rho.size > 1:
         # a maximum missed on one sphere is often found on another: climb
         # again on every sphere from the direction of each sphere's best
-        won = peaks.reshape(top.shape + (f.n,))[
-            np.arange(rho.size), peak_vals.argmax(axis=1)]
+        won = peaks[np.arange(rho.size), peak_vals.argmax(axis=1)]
         dirs = won / rho[:, None]
         starts = (rho[:, None, None] * dirs).reshape(-1, f.n)
         peak_vals = _sphere_ascent(f, starts, np.abs(f.eval(starts)))[1]
@@ -372,9 +402,12 @@ def _circle_peaks(f: HoloPoly, circle: Callable, phis: np.ndarray,
     v, s = phis[i], phis[1]
     for nodes in (_NODES, np.zeros(1)):
         derivs = ((y / out[:, None]) @ _DERIVS).reshape(-1, 2, 6)
-        u = np.zeros(v.size)
-        for _ in range(3):
-            g, k = np.einsum("rdj,rj->dr", derivs, u[:, None] ** np.arange(6))
+        # at u = 0 the slope and bend are the interpolant's first terms
+        u, (g, k) = np.zeros(v.size), derivs[:, :, 0].T
+        for j in range(3):
+            if j:
+                g, k = np.einsum("rdj,rj->dr", derivs,
+                                 u[:, None] ** np.arange(6))
             # a step of 2 or more, or one up a convex stretch, ends at an edge
             step = np.divide(g, -k, out=2.0 * np.sign(g),
                              where=-k > 0.5 * abs(g))
@@ -386,13 +419,18 @@ def _circle_peaks(f: HoloPoly, circle: Callable, phis: np.ndarray,
 
 
 def _aligned_max(f: HoloPoly, rho: np.ndarray) -> np.ndarray:
-    """max over s >= 0, |s| = 1 of sum |c_a| rho^|a| s^a, n <= 2: max |f|
-    on |z| = rho if f is phase-alignable, an upper bound otherwise.  On C^2
-    it is the peak of g = sum |c_a| z^a on the real circle rho (cos, sin),
-    which lies in the first quadrant as |cos^a sin^b| <= |cos|^a |sin|^b."""
+    """max over s >= 0, |s| = 1 of sum |c_a| rho^|a| s^a: max |f| on
+    |z| = rho if f is phase-alignable, an upper bound otherwise.  That is
+    the maximum of g = sum |c_a| z^a on the sphere, which sits on its
+    positive orthant as |z^a| <= |z|^a.  On C^2 it is the peak of g on the
+    real circle rho (cos, sin); on C^n, n >= 3, g is sampled on the
+    orthant grid of 480 n points and its best four per sphere climb."""
     if f.n == 1:
         return np.abs(f._coefs) @ rho ** f._exponents
-    g = HoloPoly(2, {a: abs(c) for a, c in f.coeffs.items()})
+    g = HoloPoly(f.n, {a: abs(c) for a, c in f.coeffs.items()})
+    if f.n > 2:
+        return _climb(g, rho, _orthant_grid(f.n, 480 * f.n),
+                      _ORTHANT_STARTS)[0]
     phis = np.linspace(0.0, 2.0 * math.pi, max(960, 16 * g.degree),
                        endpoint=False)
     ray = lambda phi: np.stack([np.cos(phi), np.sin(phi)], axis=-1)
@@ -416,7 +454,7 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
             rho = np.asarray(model.f_rho_of_r(rs), dtype=float)
             if k == 1:
                 out = _monomial_max(f, rho)
-            elif f.n > 2 or np.linalg.matrix_rank(e[1:] - e[0]) < k - 1:
+            elif np.linalg.matrix_rank(e[1:] - e[0]) < k - 1:
                 out = _sphere_max(f, rho, 480 * f.n)
             else:  # alignable: e_t - e_0 linearly independent
                 out = _aligned_max(f, rho)
@@ -436,13 +474,15 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex,
 
     The one-radius case of growth_curve.  Centered at the origin, single
     monomials use the closed form, and so do phase-alignable f on C (k
-    terms whose exponent differences have rank k - 1); on C^2 these take
-    the peak of sum |c_a| z^a on a real circle.  Otherwise |f| is sampled
+    terms whose exponent differences have rank k - 1); on C^n, n >= 2,
+    these maximize sum |c_a| z^a on the sphere's positive orthant (the
+    peak on a real circle on C^2, a grid of at most 480 n points and the
+    best four climbed on C^n, n >= 3).  Otherwise |f| is sampled
     on the geodesic sphere: on a circle (n = 1) at max(720, 16 deg)
     launch angles, a peak placed on an interpolant of the best ones, then
     moved on an interpolant of seven true values at a sixteenth of their
     spacing; on the sphere of C^n (n >= 2) at 480 n fixed quasirandom
-    directions, the best 32 climbed by a Riemannian Newton ascent.
+    directions, the best 8 n climbed by a Riemannian Newton ascent.
     """
     return float(growth_curve(model, f, center, [r]).values[0])
 
