@@ -174,7 +174,7 @@ def _legs(lam, t, tau_near, ends, apo, r_ends):
     return T, L
 
 
-def connect_lengths(profile, rho_p, rho_q, dtheta, r_p, r_q,
+def connect_lengths(lam, rho_p, rho_q, dtheta, r_p, r_q,
                     rho_cap) -> np.ndarray:
     """Distances for pairs ((rho_p, 0) -> (rho_q, dtheta)), dtheta in (0, pi].
 
@@ -196,7 +196,6 @@ def connect_lengths(profile, rho_p, rho_q, dtheta, r_p, r_q,
     where the other end is far from its second turning point.  A pair that
     no arc connects reads inf.
     """
-    lam = profile.lam
     rho_p, rho_q, dtheta, r_p, r_q, rho_cap = (
         np.asarray(a, dtype=float)
         for a in (rho_p, rho_q, dtheta, r_p, r_q, rho_cap))

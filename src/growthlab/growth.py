@@ -14,7 +14,8 @@ Core predicate battery:
 Maximal moduli over geodesic balls reduce to geodesic spheres (|f| is
 plurisubharmonic, so the maximum sits on the boundary).  A growth curve
 evaluates all of its radii in one pass, and max_modulus is its
-one-radius case:
+one-radius case.  Spheres about the origin have radius rho(r) from the
+model's map, and every circle is sampled at max(720, 16 deg) angles:
 
   * monomials centered at the origin have a closed form;
   * phase-alignable f centered there on C^n: when the exponent
@@ -28,8 +29,9 @@ one-radius case:
   * n = 1: |f| is sampled on each circle, and a peak placed on the
     interpolant of the best samples is moved once more on the interpolant
     of seven true values about it; each circle is asked for its own angles.
-    Off-center circles (n = 1 only) are closed forms or, without one, one
-    exp-map integration through every radius;
+    Circles about the origin are rho(r) e^{i phi}; off-center ones (n = 1
+    only) are closed forms or, without one, one exp-map integration
+    through every radius;
   * other polynomials on C^n, n >= 2: |f| is sampled at fixed quasirandom
     directions on each sphere, and the best 8 n per sphere climb together,
     over all radii at once, by a saddle-free Riemannian Newton ascent of
@@ -81,7 +83,7 @@ class HoloPoly:
 
     n = 1 keys may be bare integers; they are normalized to 1-tuples.
     The zero polynomial is rejected (its log-max-modulus is undefined).
-    Ball centers and vanishing points are arguments (default 0), not fields.
+    Ball centers are arguments (default 0); vanishing orders are at 0.
     """
     n: int
     coeffs: Mapping
@@ -121,19 +123,8 @@ class HoloPoly:
             vec[k] = c
         return vec
 
-    def vanishing_order(self, at: complex = 0) -> int:
-        """Lowest degree of the Taylor expansion about at (default 0);
-        n >= 2 only about the origin."""
-        if self.n == 1:
-            vec = self._coef_vec()
-            if at != 0:
-                vec = np.polynomial.polynomial.Polynomial(vec)(
-                    np.polynomial.polynomial.Polynomial([at, 1.0])).coef
-            scale = float(np.max(np.abs(vec)))
-            nz = np.nonzero(np.abs(vec) > _COEF_TOL * scale)[0]
-            return int(nz[0])
-        if at != 0:
-            raise DomainError("vanishing orders off the origin need n = 1")
+    def vanishing_order(self) -> int:
+        """Order of vanishing at the origin: the least degree of a term."""
         return min(sum(a) for a in self.coeffs)
 
     def eval(self, z):
@@ -268,7 +259,7 @@ def _jet(f: HoloPoly) -> Callable:
     return jet
 
 
-def _sphere_ascent(f: HoloPoly, z: np.ndarray, scale: np.ndarray) -> tuple:
+def _sphere_ascent(f: HoloPoly, z: np.ndarray) -> tuple:
     """Climb |f|^2 from the points z (m, n), each on its sphere |z| = const.
 
     Saddle-free Riemannian Newton in real coordinates x = (Re z, Im z) on
@@ -283,10 +274,11 @@ def _sphere_ascent(f: HoloPoly, z: np.ndarray, scale: np.ndarray) -> tuple:
     """
     n, m = f.n, z.shape[0]
     jet = _jet(f)
-    scale = np.where(scale > 0.0, scale, 1.0)
+    v = f.eval(z)
+    scale = np.where(v != 0.0, np.abs(v), 1.0)
     rho = np.linalg.norm(z, axis=1)
     x = np.concatenate([z.real, z.imag], axis=1)
-    val = np.abs(f.eval(z) / scale) ** 2
+    val = np.abs(v / scale) ** 2
     eye = np.eye(2 * n)
     active = np.ones(m, dtype=bool)
     for _ in range(_NEWTON_STEPS):
@@ -363,16 +355,16 @@ def _climb(f: HoloPoly, rho: np.ndarray, zeta: np.ndarray,
         return best, None, None
     top = np.argsort(vals, axis=1)[:, -starts:]
     peaks, peak_vals = _sphere_ascent(
-        f, (rho[:, None, None] * zeta[top]).reshape(-1, f.n),
-        np.take_along_axis(vals, top, axis=1).ravel())
+        f, (rho[:, None, None] * zeta[top]).reshape(-1, f.n))
     peak_vals = peak_vals.reshape(top.shape)
     return (np.maximum(best, peak_vals.max(axis=1)),
             peaks.reshape(top.shape + (f.n,)), peak_vals)
 
 
-def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int) -> np.ndarray:
-    """max |f| on the spheres |z| = rho of C^n, n >= 2, one per entry."""
-    best, peaks, peak_vals = _climb(f, rho, _directions(f.n, count),
+def _sphere_max(f: HoloPoly, rho: np.ndarray) -> np.ndarray:
+    """max |f| on the spheres |z| = rho of C^n, n >= 2, one per entry,
+    sampled at 480 n directions."""
+    best, peaks, peak_vals = _climb(f, rho, _directions(f.n, 480 * f.n),
                                     _STARTS * f.n)
     if peaks is not None and rho.size > 1:
         # a maximum missed on one sphere is often found on another: climb
@@ -380,26 +372,34 @@ def _sphere_max(f: HoloPoly, rho: np.ndarray, count: int) -> np.ndarray:
         won = peaks[np.arange(rho.size), peak_vals.argmax(axis=1)]
         dirs = won / rho[:, None]
         starts = (rho[:, None, None] * dirs).reshape(-1, f.n)
-        peak_vals = _sphere_ascent(f, starts, np.abs(f.eval(starts)))[1]
+        peak_vals = _sphere_ascent(f, starts)[1]
         best = np.maximum(best, peak_vals.reshape(rho.size, -1).max(axis=1))
     return best
 
 
-def _circle_peaks(f: HoloPoly, circle: Callable, phis: np.ndarray,
+def _angles(f: HoloPoly) -> np.ndarray:
+    """Every circle's sample angles: max(720, 16 deg), equispaced from 0."""
+    return np.linspace(0.0, 2.0 * math.pi, max(720, 16 * f.degree),
+                       endpoint=False)
+
+
+def _circle_peaks(f: HoloPoly, circle: Callable,
                   vals: np.ndarray) -> np.ndarray:
-    """Refine the best of the samples vals = |f(circle(phis))|, all rows,
-    in two passes of three Newton steps on the degree-6 interpolant of
-    seven values about v: the best sample and its three neighbours on each
-    side (spacing h), then true values at v + (h/16)(-3 .. 3).  Two circle
-    calls, each asking every circle for its own angles only, give those
-    and |f| at the final v.  Returns the largest value seen, or at once
-    the sample maxima where one is not finite."""
+    """Refine the best of the samples vals = |f(circle(phi))|, all rows, at
+    angles phi equispaced from 0 with spacing h = 2 pi / vals.shape[1], in
+    two passes of three Newton steps on the degree-6 interpolant of seven
+    values about v: the best sample and its three neighbours on each side,
+    then true values at v + (h/16)(-3 .. 3).  Two circle calls, each asking
+    every circle for its own angles only, give those and |f| at the final
+    v.  Returns the largest value seen, or at once the sample maxima where
+    one is not finite."""
     i, count = np.argmax(vals, axis=1), vals.shape[1]
     out = vals.max(axis=1)
     if not np.all(np.isfinite(out)):
         return out
     y = np.take_along_axis(vals, (i[:, None] + _NODES) % count, axis=1)
-    v, s = phis[i], phis[1]
+    s = 2.0 * math.pi / count
+    v = i * s
     for nodes in (_NODES, np.zeros(1)):
         derivs = ((y / out[:, None]) @ _DERIVS).reshape(-1, 2, 6)
         # at u = 0 the slope and bend are the interpolant's first terms
@@ -431,12 +431,9 @@ def _aligned_max(f: HoloPoly, rho: np.ndarray) -> np.ndarray:
     if f.n > 2:
         return _climb(g, rho, _orthant_grid(f.n, 480 * f.n),
                       _ORTHANT_STARTS)[0]
-    phis = np.linspace(0.0, 2.0 * math.pi, max(960, 16 * g.degree),
-                       endpoint=False)
     ray = lambda phi: np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    vals = _samples(g, ray(phis), rho)
     return _circle_peaks(g, lambda phi: rho[:, None, None] * ray(phi),
-                         phis, vals)
+                         _samples(g, ray(_angles(g)), rho))
 
 
 def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
@@ -447,22 +444,21 @@ def _max_moduli(model: RadialKahlerModel, f: HoloPoly, center: complex,
     if center != 0 and f.n != 1:
         raise DomainError("off-center balls are supported for n=1 only")
     k, e = len(f.coeffs), f._exponents
-    # every overflow, rho's too (rho_of_r would stop at it), ends at the
-    # one check below
+    # centered balls read rho from the model's own map, which rho_of_r
+    # would stop at an overflow: every overflow ends at the one check below
     with np.errstate(over="ignore", invalid="ignore"):
-        if center == 0 and (k <= 2 or f.n > 1):
+        if center == 0:
             rho = np.asarray(model.f_rho_of_r(rs), dtype=float)
-            if k == 1:
-                out = _monomial_max(f, rho)
-            elif np.linalg.matrix_rank(e[1:] - e[0]) < k - 1:
-                out = _sphere_max(f, rho, 480 * f.n)
-            else:  # alignable: e_t - e_0 linearly independent
-                out = _aligned_max(f, rho)
+        if center == 0 and k == 1:
+            out = _monomial_max(f, rho)
+        elif center == 0 and np.linalg.matrix_rank(e[1:] - e[0]) == k - 1:
+            out = _aligned_max(f, rho)  # e_t - e_0 linearly independent
+        elif f.n > 1:
+            out = _sphere_max(f, rho)
         else:
-            circle = geodesic_circle(model, center, rs)
-            count = max(720, 16 * max(f.degree, 1))
-            phis = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-            out = _circle_peaks(f, circle, phis, np.abs(f.eval(circle(phis))))
+            circle = (geodesic_circle(model, center, rs) if center != 0
+                      else lambda phi: rho[:, None] * np.exp(1j * phi))
+            out = _circle_peaks(f, circle, np.abs(f.eval(circle(_angles(f)))))
     if not np.all(np.isfinite(out)) or np.any(out < 0):
         raise MaximizationError("maximum-modulus search failed")
     return out
@@ -472,17 +468,18 @@ def max_modulus(model: RadialKahlerModel, f: HoloPoly, center: complex,
                 r: float) -> float:
     """max |f| over the geodesic ball of radius r about center.
 
-    The one-radius case of growth_curve.  Centered at the origin, single
-    monomials use the closed form, and so do phase-alignable f on C (k
-    terms whose exponent differences have rank k - 1); on C^n, n >= 2,
-    these maximize sum |c_a| z^a on the sphere's positive orthant (the
-    peak on a real circle on C^2, a grid of at most 480 n points and the
-    best four climbed on C^n, n >= 3).  Otherwise |f| is sampled
-    on the geodesic sphere: on a circle (n = 1) at max(720, 16 deg)
-    launch angles, a peak placed on an interpolant of the best ones, then
-    moved on an interpolant of seven true values at a sixteenth of their
-    spacing; on the sphere of C^n (n >= 2) at 480 n fixed quasirandom
-    directions, the best 8 n climbed by a Riemannian Newton ascent.
+    The one-radius case of growth_curve.  Centered at the origin (radius
+    rho(r) of the model's map), single monomials use the closed form, and
+    so do phase-alignable f on C (k terms whose exponent differences have
+    rank k - 1); on C^n, n >= 2, these maximize sum |c_a| z^a on the
+    sphere's positive orthant (the peak on a real circle on C^2, a grid of
+    at most 480 n points and the best four climbed on C^n, n >= 3).
+    Otherwise |f| is sampled on the geodesic sphere: on a circle (n = 1),
+    as on C^2's real one, at max(720, 16 deg) angles, a peak placed on an
+    interpolant of the best ones, then moved on an interpolant of seven
+    true values at a sixteenth of their spacing; on the sphere of C^n
+    (n >= 2) at 480 n fixed quasirandom directions, the best 8 n climbed
+    by a Riemannian Newton ascent.
     """
     return float(growth_curve(model, f, center, [r]).values[0])
 
@@ -493,11 +490,12 @@ def growth_curve(model: RadialKahlerModel, f: HoloPoly, center: complex = 0,
 
     center (n = 1 only) defaults to the origin, as does None.
 
-    All radii are evaluated together by the method of max_modulus: the
-    circle refinements (two circle-map calls a curve, each circle at its
-    own angles) and sphere ascents of all radii run as one batch (spheres
-    climb again from each other radius's best direction), and off-center
-    balls take closed-form circles or share one exp-map integration.
+    All radii are evaluated together by the method of max_modulus, with
+    rho read once from the model's map for every centered ball: the circle
+    refinements (two circle-map calls a curve, each circle at its own
+    angles) and sphere ascents of all radii run as one batch (spheres climb
+    again from each other radius's best direction), and off-center balls
+    take closed-form circles or share one exp-map integration.
     """
     rs = np.asarray(radii, dtype=float)
     if rs.ndim != 1 or rs.size == 0:

@@ -674,7 +674,7 @@ def pair_distances(model: RadialKahlerModel, ps, qs,
     def connect(idx, r_cap):
         rho_cap = np.asarray(rho_of_r(model, r_cap), dtype=float)
         return _shooting.connect_lengths(
-            model.profile, np.abs(a[idx]), np.abs(b[idx]), dth[idx],
+            model.profile.lam, np.abs(a[idx]), np.abs(b[idx]), dth[idx],
             r_a[idx], r_b[idx], rho_cap)
 
     if swept.size:

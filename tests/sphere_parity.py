@@ -1,18 +1,26 @@
-"""Max-modulus parity of the n >= 2 sphere routes against another checkout.
+"""Max-modulus parity of the centered growth routes against another checkout.
 
     python tests/sphere_parity.py PATH_TO_OTHER_CHECKOUT
 
 Runs growth._max_moduli from this tree and from the other checkout (each in
-its own process, importing growthlab from that tree's src/) on two curve
-sets on flat C^2 and C^3, every curve at 7 radii:
+its own process, importing growthlab from that tree's src/) on four curve
+sets of balls about the origin, every curve at 7 radii:
 
   * sweep: the sphere curves of the benchmark's growth-sweep workload for
     seeds 1-5 (random C^2 curves with 2 to 5 terms, plus the (a . z)^k
     references on C^2 and C^3), 44 a seed, drawn here without importing
-    perfbench;
-  * B: 800 random curves, C^2 for even j and C^3 for odd j, with 2 + j % 4
-    terms of total degree 1 to 5, from default_rng(77); each polynomial's
-    radii geomspace(U(0.25, 0.4), U(5, 7), 7) are drawn after it.
+    perfbench, on flat C^2 and C^3;
+  * B: 800 random curves on flat C^2 and C^3, C^2 for even j and C^3 for
+    odd j, with 2 + j % 4 terms of total degree 1 to 5, from
+    default_rng(77); each polynomial's radii geomspace(U(0.25, 0.4),
+    U(5, 7), 7) are drawn after it;
+  * circle: 300 curves on C (the circle route), 3 + j % 3 terms of degree
+    at most 7 on flat, cigar and hyperbolic in turn, from default_rng(78),
+    radii geomspace(U(0.1, 0.4), U(1.5, 3), 7);
+  * aligned: 300 phase-alignable C^2 curves (the real-circle route), 2 or
+    3 terms of total degree 1 to 5 whose exponent differences are linearly
+    independent, on flat, cigar and hyperbolic in turn, from
+    default_rng(79), radii geomspace(U(0.25, 0.4), U(2, 6), 7).
 
 For each set it prints the worst relative drop and the worst relative rise
 of this tree against the other, and exits 1 if any value drops by more than
@@ -32,12 +40,13 @@ import numpy as np
 TOL = 1e-14
 
 
-def _random_poly(rng: np.random.Generator, n: int, k: int) -> dict:
-    """k terms of total degree 1 to 5, complex normal coefficients."""
+def _random_poly(rng: np.random.Generator, n: int, k: int,
+                 top: int = 5) -> dict:
+    """k terms of total degree 1 to top, complex normal coefficients."""
     coeffs = {}
     while len(coeffs) < k:
-        alpha = tuple(int(a) for a in rng.integers(0, 6, size=n))
-        if 0 < sum(alpha) <= 5:
+        alpha = tuple(int(a) for a in rng.integers(0, top + 1, size=n))
+        if 0 < sum(alpha) <= top:
             coeffs[alpha] = complex(*rng.normal(size=2))
     return coeffs
 
@@ -69,7 +78,7 @@ def sweep_curves(seed: int) -> list:
         for j in range(count):
             coeffs = _random_poly(rng, n, 1 + j % 5)
             if n == 2 and len(coeffs) > 1:
-                curves.append((n, coeffs, radii))
+                curves.append(("flat", n, coeffs, radii))
     for _ in range(3):  # the n = 1 references
         rng.integers(1, 5), rng.normal(size=2), rng.uniform(0.2, 1.5)
         rng.normal(size=2)
@@ -77,7 +86,7 @@ def sweep_curves(seed: int) -> list:
         for _ in range(count):
             k = int(rng.integers(1, kmax + 1))
             a = rng.normal(size=n) + 1j * rng.normal(size=n)
-            curves.append((n, _power_of_linear(a, k), radii))
+            curves.append(("flat", n, _power_of_linear(a, k), radii))
     return curves
 
 
@@ -88,12 +97,41 @@ def set_b_curves() -> list:
         n = 2 if j % 2 == 0 else 3
         coeffs = _random_poly(rng, n, 2 + j % 4)
         lo, hi = rng.uniform(0.25, 0.4), rng.uniform(5.0, 7.0)
-        curves.append((n, coeffs, np.geomspace(lo, hi, 7)))
+        curves.append(("flat", n, coeffs, np.geomspace(lo, hi, 7)))
+    return curves
+
+
+MODELS = ("flat", "cigar", "hyperbolic")
+
+
+def circle_curves() -> list:
+    rng = np.random.default_rng(78)
+    curves = []
+    for j in range(300):
+        # exponents 0 to 7, so a curve may have a constant term
+        coeffs = {(e,): complex(*rng.normal(size=2)) for e in
+                  rng.choice(8, size=3 + j % 3, replace=False).tolist()}
+        lo, hi = rng.uniform(0.1, 0.4), rng.uniform(1.5, 3.0)
+        curves.append((MODELS[j % 3], 1, coeffs, np.geomspace(lo, hi, 7)))
+    return curves
+
+
+def aligned_curves() -> list:
+    rng = np.random.default_rng(79)
+    curves = []
+    while len(curves) < 300:
+        coeffs = _random_poly(rng, 2, 2 + len(curves) % 2)
+        e = np.array(list(coeffs))
+        if np.linalg.matrix_rank(e[1:] - e[0]) == len(coeffs) - 1:
+            lo, hi = rng.uniform(0.25, 0.4), rng.uniform(2.0, 6.0)
+            curves.append((MODELS[len(curves) % 3], 2, coeffs,
+                           np.geomspace(lo, hi, 7)))
     return curves
 
 
 SETS = {"sweep": [c for s in range(1, 6) for c in sweep_curves(s)],
-        "B": set_b_curves()}
+        "B": set_b_curves(), "circle": circle_curves(),
+        "aligned": aligned_curves()}
 
 
 def values(src: str) -> dict:
@@ -102,14 +140,14 @@ def values(src: str) -> dict:
     sys.path.insert(0, src)
     from growthlab import HoloPoly, builtin_model, growth
     from growthlab.errors import MaximizationError
-    models = {n: builtin_model("flat", n=n) for n in (2, 3)}
+    models = {(m, n): builtin_model(m, n=n) for m in MODELS for n in (1, 2, 3)}
     out = {}
     for name, curves in SETS.items():
         out[name] = []
-        for n, coeffs, radii in curves:
+        for model, n, coeffs, radii in curves:
+            f = HoloPoly(n, coeffs)
             try:
-                vals = growth._max_moduli(models[n], HoloPoly(n, coeffs), 0j,
-                                          radii)
+                vals = growth._max_moduli(models[model, n], f, 0j, radii)
             except MaximizationError:
                 vals = np.full(radii.size, math.nan)
             out[name].append([float(v) for v in vals])

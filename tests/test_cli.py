@@ -577,9 +577,12 @@ def test_homogeneity_overflow_is_one_error_line(capsys):
     ["three-circle", "--n", "2", "--f", "z1^200", "--radii", "10:1000:3"],
     ["monotonicity", "--f", "z^200", "--radii", "10:1000:3"],
     ["three-circle", "--f", "z^200+z", "--radii", "10:1000:3"],
+    ["three-circle", "--model", "cigar", "--f", "z^3+z+1",
+     "--radii", "700:720:3"],
 ])
 def test_overflowing_curve_is_one_error_line_without_warnings(capsys, argv):
-    # monomials and the aligned route overflow like the other routes: one
+    # monomials, the aligned route and centered circles overflow like the
+    # other routes (rho read from the model's map, not rho_of_r): one
     # error line and exit 2, with no RuntimeWarning (which tier-1 turns
     # into an error) and no verdict read off an infinite or NaN value
     assert main(argv) == 2
@@ -656,6 +659,16 @@ def test_csv_rejected_without_a_table(tmp_path, argv):
         main(argv + ["--csv", str(path)])
     assert exc.value.code == 2
     assert not path.exists()
+
+
+def test_ode_catalog_solver_gaps_stay_at_rounding():
+    # the solved h matches every catalog row to within 1e-11, far inside
+    # the suite's 1e-7 (the largest gap, on the cigar row, is 8.0e-13): a
+    # _rate_tails split threshold of 1e-10 instead of 1e-14 reads 1.6e-11
+    # on plus_one and passes every other check
+    gaps = {c.name: c.witness["solver_h_gap"]
+            for c in SUITES["ode-catalog"]()}
+    assert len(gaps) == 6 and max(gaps.values()) <= 1e-11, gaps
 
 
 def test_suite_unknown_name():

@@ -65,26 +65,17 @@ def test_poly_degree_and_vanishing_order():
     assert g.vanishing_order() == 2
 
 
-def test_poly_recentered_vanishing_order():
-    # f = (z - 1)^2 vanishes to order 2 at the point 1
-    f = HoloPoly(1, {0: 1.0, 1: -2.0, 2: 1.0})
-    assert f.vanishing_order(1.0) == 2
-    assert f.degree == 2
-
-
 @given(st.lists(st.tuples(st.sampled_from(
     [0, 1, -1, 2, -2, 1j, -1j, 1 + 1j, -2 + 1j]), st.integers(1, 3)),
     min_size=1, max_size=3, unique_by=lambda t: t[0]))
 @settings(max_examples=60, deadline=None)
 def test_vanishing_order_of_products(factors):
-    # prod (z - a_j)^m_j vanishes to order m_j at a_j and not elsewhere;
-    # Gaussian-integer roots keep the expansion and its shifts exact
+    # prod (z - a_j)^m_j vanishes at the origin to the multiplicity of the
+    # root 0, and not at all when 0 is not a root; Gaussian-integer roots
+    # keep the expansion exact
     f = HoloPoly(1, dict(enumerate(np.polynomial.polynomial.polyfromroots(
         [a for a, m in factors for _ in range(m)]))))
-    for a, m in factors:
-        assert f.vanishing_order(a) == m
-    for other in (0.5 + 0.25j, 3.0):
-        assert f.vanishing_order(other) == 0
+    assert f.vanishing_order() == dict(factors).get(0, 0)
 
 
 def test_poly_merges_and_drops_coefficients():
@@ -101,8 +92,6 @@ def test_poly_rejects_zero_and_bad_indices():
         HoloPoly(2, {(1,): 1.0})
     with pytest.raises(DomainError):
         HoloPoly(1, {-1: 1.0})
-    with pytest.raises(DomainError):
-        HoloPoly(2, {(1, 1): 1.0}).vanishing_order(0.5)
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, complex(1.0, -math.inf)])
@@ -328,8 +317,7 @@ def test_sphere_max_matches_dense_search(n):
         vals = np.array([np.abs(f.eval(r * zeta)) for r in radii])
         top = np.argsort(vals, axis=1)[:, -64:]
         ref = _sphere_ascent(
-            f, (radii[:, None, None] * zeta[top]).reshape(-1, n),
-            np.take_along_axis(vals, top, axis=1).ravel())[1]
+            f, (radii[:, None, None] * zeta[top]).reshape(-1, n))[1]
         ref = ref.reshape(top.shape).max(axis=1)
         assert np.all(got >= ref * (1.0 - 1e-12)), (coeffs, got / ref - 1.0)
 
@@ -416,9 +404,9 @@ def test_ascent_member_counts(monkeypatch):
     members = []
     climb = growth._sphere_ascent
 
-    def counted(f, z, scale):
+    def counted(f, z):
         members.append(z.shape[0])
-        return climb(f, z, scale)
+        return climb(f, z)
 
     monkeypatch.setattr(growth, "_sphere_ascent", counted)
     radii = np.geomspace(0.3, 6.0, 7)
@@ -465,7 +453,7 @@ def test_alignable_c2_matches_sphere_ascent(f, name, lo, hi):
     radii = np.geomspace(lo, hi, 7)
     got = growth_curve(model, f, 0, radii).values
     rho = np.asarray(rho_of_r(model, radii))
-    ref = growth._sphere_max(f, rho, 960)
+    ref = growth._sphere_max(f, rho)
     assert np.all(got >= ref * (1.0 - 1e-12)), got / ref - 1.0
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-12, got / ref - 1.0
 
@@ -496,7 +484,7 @@ def test_alignable_cn_matches_sphere_ascent(f, name, lo, hi):
     got = growth_curve(model, f, 0, radii).values
     rho = np.asarray(rho_of_r(model, radii))
     with mock.patch.object(growth, "_STARTS", 16):
-        ref = growth._sphere_max(f, rho, 480 * f.n)
+        ref = growth._sphere_max(f, rho)
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-12, got / ref - 1.0
 
 
@@ -514,7 +502,7 @@ def test_two_term_closed_form_matches_circle(coeffs, name, lo, hi):
     circle = geodesic_circle(model, 0, radii)
     phis = np.linspace(0.0, 2 * math.pi, max(720, 16 * f.degree),
                        endpoint=False)
-    ref = growth._circle_peaks(f, circle, phis, np.abs(f.eval(circle(phis))))
+    ref = growth._circle_peaks(f, circle, np.abs(f.eval(circle(phis))))
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-12, got / ref - 1.0
 
 
