@@ -69,6 +69,8 @@ from .growth import (
 from .radial_metric import (
     builtin_model,
     curvature_at_origin,
+    load_profile_table,
+    model_from_profile,
     model_hessian,
     radial_curvature,
     rho_of_r,
@@ -209,7 +211,7 @@ def build_model(args):
     if tag == "table":
         if not args.table:
             raise DomainError("--model table needs --table PATH")
-        return builtin_model("custom", args.n, table=args.table)
+        return model_from_profile(load_profile_table(args.table), args.n)
     return builtin_model(tag, args.n, kappa=args.kappa)
 
 

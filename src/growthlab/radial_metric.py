@@ -29,15 +29,21 @@ Built-in profiles
     hyperbolic(k)   lam = 2/(sqrt(k)(1-rho^2))   H = -k, chart rho < 1
     sphere(k)       lam = 2/(sqrt(k)(1+rho^2))   H = +k, r < pi/sqrt(k)
     conformal_poly  lam = c0 + c1 rho^2 + ...    polynomial in rho^2
-    custom          cubic spline through a user table (rho, lam)
 
 The first four have closed-form radial maps r(rho), rho(r), H(r), u(r) and
-geodesic circles.  The others get them from one table built with the model:
-r at graded rho knots by 10-point Gauss-Legendre panels (exact for
-conformal_poly up to degree 9 in rho^2), rho(r) by a Hermite guess and
-Newton steps, log lam derivatives from d_lam / d2_lam or from Chebyshev
-panels of G(s) = log lam(sqrt s), s = rho^2, where (log lam)'/rho = 2 G'
-and Delta_0 log lam = 4 (G' + s G''), and circles from the exp map.
+geodesic circles.  The others, and a user table's cubic spline, as
+model_from_profile(load_profile_table(path), n), get them from one table
+built with the model: r at graded rho knots by 10-point Gauss-Legendre
+panels (exact for conformal_poly up to degree 9 in rho^2), rho(r) by a
+Hermite guess and Newton steps, log lam derivatives from the profile's
+jet, rho -> (lam, lam', lam''), or from Chebyshev panels of G(s) =
+log lam(sqrt s), s = rho^2, where (log lam)'/rho = 2 G' and Delta_0 log
+lam = 4 (G' + s G''), and circles from the exp map.
+
+A finite chart's knots end on the ladder rho_max (1 - 2^-k): r_max is r at
+the last knot kept when r's increment shrinks by 5% or more per halving,
+else inf (complete).  lam ~ (rho_max - rho)^-a gives a ratio 2^(a - 1), so
+an integrable blowup with a >~ 0.93 still reads as complete.
 """
 from __future__ import annotations
 
@@ -84,15 +90,14 @@ def __getattr__(name: str):
 class RadialProfile:
     """Conformal factor of the line metric, with optional analytic derivatives.
 
-    lam must accept numpy arrays.  Without d_lam / d2_lam, model_from_profile
-    differentiates log lam itself.
+    lam must accept numpy arrays, and so must jet, rho -> (lam, lam',
+    lam'').  Without a jet, model_from_profile differentiates log lam itself.
     """
 
     lam: Callable
     rho_max: float
     name: str
-    d_lam: Callable | None = None
-    d2_lam: Callable | None = None
+    jet: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -246,19 +251,19 @@ def _conformal_poly_model(n: int, coeffs: Sequence[float]) -> RadialKahlerModel:
     dp, d2p = p.deriv(), p.deriv(2)
     pos = [rt.real for rt in p.roots() if abs(rt.imag) < 1e-12 and rt.real > 0]
     rho_max = math.sqrt(min(pos)) if pos else math.inf
-    prof = RadialProfile(
-        lam=lambda rho: p(rho ** 2), rho_max=rho_max,
-        name=f"conformal_poly{tuple(c)}",
-        d_lam=lambda rho: 2.0 * rho * dp(rho ** 2),
-        d2_lam=lambda rho: 2.0 * dp(rho ** 2) + 4.0 * rho ** 2 * d2p(rho ** 2),
-    )
+
+    def jet(rho):
+        s = rho ** 2
+        return p(s), 2.0 * rho * dp(s), 2.0 * dp(s) + 4.0 * s * d2p(s)
+
+    prof = RadialProfile(lam=lambda rho: p(rho ** 2), rho_max=rho_max,
+                         name=f"conformal_poly{tuple(c)}", jet=jet)
     return replace(model_from_profile(prof, n), kind="conformal_poly",
                    params=tuple(c))
 
 
 def builtin_model(tag: str, n: int = 1, *, kappa: float = 1.0,
-                  coeffs: Sequence[float] | None = None,
-                  table: str | None = None) -> RadialKahlerModel:
+                  coeffs: Sequence[float] | None = None) -> RadialKahlerModel:
     """Construct one of the named model metrics on C^n."""
     if tag == "flat":
         return _flat_model(n)
@@ -270,32 +275,7 @@ def builtin_model(tag: str, n: int = 1, *, kappa: float = 1.0,
         if coeffs is None:
             raise DomainError("conformal_poly needs coeffs")
         return _conformal_poly_model(n, coeffs)
-    if tag == "custom":
-        if table is None:
-            raise DomainError("custom model needs a table path")
-        return model_from_profile(load_profile_table(table), n=n)
     raise DomainError(f"unknown model tag {tag!r}")
-
-
-def model_from_profile(profile: RadialProfile, n: int = 1) -> RadialKahlerModel:
-    """Wrap a bare profile in the tabulated backend (module docstring).
-
-    When the chart is a finite disk the total radius is probed near the
-    edge: if the increments keep growing the metric is complete and
-    r_max = inf (lam must stay bounded at the edge for a finite answer).
-    """
-    maps = _tabulated_maps(profile)
-    r_max = math.inf
-    if math.isfinite(profile.rho_max):
-        cuts = profile.rho_max * (1.0 - 10.0 ** -np.arange(4.0, 11.0, 2.0))
-        r_cut = maps["f_r_of_rho"](cuts)
-        incs = np.diff(r_cut)
-        # bounded lam: increments fall two decades per probe; any kind of
-        # edge blowup keeps them flat or growing
-        if incs[-1] < 0.05 * incs[-2] and incs[-1] < 1e-3 * (1.0 + r_cut[-1]):
-            r_max = float(r_cut[-1])
-    return RadialKahlerModel(n=n, profile=profile, kind="custom", r_max=r_max,
-                             conjugate_radius=math.inf, **maps)
 
 
 def load_profile_table(path: str) -> RadialProfile:
@@ -305,8 +285,8 @@ def load_profile_table(path: str) -> RadialProfile:
     start at 0 and be strictly increasing, and lambda must be positive.
     Interpolation is the cubic spline through the rows with zero slope at
     rho = 0 (even symmetry) and the not-a-knot condition at the last row,
-    evaluated in numpy; its own derivatives serve as d_lam and d2_lam, and
-    queries outside [0, rho_max] take the end values.
+    evaluated in numpy; its jet reads the spline and its derivatives in one
+    knot search, and queries outside [0, rho_max] take the end values.
     """
     rows = []
     # undecodable bytes become U+FFFD, which fails as a number on its row
@@ -338,10 +318,12 @@ def load_profile_table(path: str) -> RadialProfile:
     if np.any(lam <= 0):
         raise DomainError("table lambda column must be positive")
     coef = _even_spline(rho, lam)
-    return RadialProfile(
-        lam=_horner(rho, coef), rho_max=float(rho[-1]), name="table",
-        d_lam=_horner(rho, coef[:3] * [[3.0], [2.0], [1.0]]),
-        d2_lam=_horner(rho, coef[:2] * [[6.0], [2.0]]))
+    # (lam, lam', lam'') rows, zero-padded in front: 0 * t + c is exactly c
+    pad = np.zeros_like(coef[:1])
+    jet = np.stack([coef, np.vstack([pad, coef[:3] * [[3.0], [2.0], [1.0]]]),
+                    np.vstack([pad, pad, coef[:2] * [[6.0], [2.0]]])], axis=1)
+    return RadialProfile(lam=_horner(rho, coef), rho_max=float(rho[-1]),
+                         name="table", jet=_horner(rho, jet))
 
 
 def _even_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -380,16 +362,17 @@ def _even_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _horner(x: np.ndarray, coef: np.ndarray) -> Callable:
     """q -> the piecewise polynomial with panel coefficients coef (highest
-    power of q - x_j first) at q clipped into [x_0, x_{N-1}]."""
+    power of q - x_j first, panels on the last axis) at q clipped into
+    [x_0, x_{N-1}]; coef of shape (degree + 1, k, N - 1) gives k values."""
     inner, lo, hi, rows = x[1:-1], x[0], x[-1], tuple(coef)
 
     def at(q):
         q = np.minimum(np.maximum(q, lo), hi)
         j = np.searchsorted(inner, q, "right")
         t = q - x[j]
-        p = rows[0][j]
+        p = rows[0].take(j, axis=-1)
         for row in rows[1:]:
-            p = p * t + row[j]
+            p = p * t + row.take(j, axis=-1)
         return p
 
     return at
@@ -428,26 +411,36 @@ def _gauss(lam: Callable, a, b):
     return half * (lam(x) @ _WG)
 
 
-def _chart(lam: Callable, knots: np.ndarray):
-    """r(rho), its inverse, the knots kept and r / (rho lam) at the last
-    two, from one table of r at the knots.
+def _chart(lam: Callable, rho_max: float):
+    """r(rho), its inverse, the knots kept, r_max and rho_order, from one
+    table of r at the _graded knots.
 
     Panels are integrated by the Gauss-Legendre rule and a point adds its
     partial panel.  The table ends where lam or r stops being finite or r
-    stops increasing; rho(r) beyond it raises DomainError.
+    stops increasing; rho(r) beyond it raises DomainError.  A finite
+    chart takes r_max from its last two panels (module docstring) and
+    rho_order 0; an infinite one has r_max = inf and rho_order = r / (rho
+    lam) at the last two knots when they agree to 1e-8, else nan.
     """
+    knots = _graded(rho_max)
     with np.errstate(all="ignore"):
         lam_k = lam(knots)
-        r_k = np.concatenate(
-            [[0.0], np.cumsum(_gauss(lam, knots[:-1], knots[1:]))])
+        inc = _gauss(lam, knots[:-1], knots[1:])
+        r_k = np.concatenate([[0.0], np.cumsum(inc)])
         ok = np.isfinite(r_k) & np.isfinite(lam_k) & (lam_k > 0)
         ok[1:] &= np.diff(r_k) > 0
         # one division at a time: rho lam overflows on growing profiles
         ratio = r_k / knots / lam_k
     n = ok.size if ok.all() else int(np.argmin(ok))
-    if n < 2:
+    if n < 3:
         raise DomainError("lam must be positive and finite near rho = 0")
     knots, r_k, lam_k = knots[:n], r_k[:n], lam_k[:n]
+    if math.isfinite(rho_max):
+        r_max = float(r_k[-1]) if inc[n - 2] <= 0.95 * inc[n - 3] else math.inf
+        beta = 0.0
+    else:
+        lo, hi = ratio[n - 2:n].tolist()
+        r_max, beta = math.inf, hi if abs(hi - lo) <= 1e-8 * hi else math.nan
     # searching the inner knots gives the panel index, clipped to [0, n - 2]
     inner_rho, inner_r = knots[1:-1], r_k[1:-1]
 
@@ -480,7 +473,7 @@ def _chart(lam: Callable, knots: np.ndarray):
                  f"{_NEWTON_CAP} Newton steps at some r", BudgetError)
         return rho
 
-    return r_of_rho, rho_of_r, knots, ratio[n - 2:n].tolist()
+    return r_of_rho, rho_of_r, knots, r_max, beta
 
 
 def _g_panels(lam: Callable, knots: np.ndarray) -> Callable:
@@ -524,43 +517,46 @@ def _g_panels(lam: Callable, knots: np.ndarray) -> Callable:
     return derivs
 
 
-def _tabulated_maps(profile: RadialProfile):
-    """Model fields for a profile without closed-form radial maps.
+def model_from_profile(profile: RadialProfile, n: int = 1) -> RadialKahlerModel:
+    """Wrap a bare profile in the tabulated backend (module docstring).
 
-    H = -Delta_0 log lam / lam^2 and u = (1 + rho^2 (log lam)'/rho) /
-    (2 lam rho) at rho = rho(r), from d_lam and d2_lam when the profile has
-    them ((log lam)'/rho -> lam''(0)/lam(0) at 0), else from the G panels.
-    Circles integrate the exp map with the same (log lam)'/rho.
+    derivs(rho) = (lam, (log lam)'/rho, Delta_0 log lam), from one call of
+    the profile's jet when it has one ((log lam)'/rho -> lam''(0)/lam(0)
+    at 0), else from lam and the G panels.  H = -Delta_0 log lam / lam^2
+    and u = (1 + rho^2 (log lam)'/rho) / (2 lam rho) at rho = rho(r), and
+    circles integrate the exp map with the same (log lam)'/rho.
     """
-    lam, d1, d2 = profile.lam, profile.d_lam, profile.d2_lam
-    r_of_rho, rho_of_r, knots, ends = _chart(lam, _graded(profile.rho_max))
-    # rho_order: r / (rho lam) at the last two knots of an infinite chart
-    lo, hi = (0.0, 0.0) if math.isfinite(profile.rho_max) else ends
-    beta = hi if abs(hi - lo) <= 1e-8 * hi else math.nan
-    if d1 is not None and d2 is not None:
-        def derivs(rho):
-            lv, pos = lam(rho), rho > 0
-            l1, l2 = d1(rho) / lv, d2(rho) / lv
-            over = np.where(pos, l1 / np.where(pos, rho, 1.0), l2)
-            return over, l2 - l1 ** 2 + over
+    lam, jet = profile.lam, profile.jet
+    r_of_rho, rho_of_r, knots, r_max, beta = _chart(lam, profile.rho_max)
+    if jet is None:
+        panels = _g_panels(lam, knots)
+        derivs = lambda rho: (lam(rho),) + panels(rho)
     else:
-        derivs = _g_panels(lam, knots)
+        def derivs(rho):
+            (lv, d1, d2), pos = jet(rho), rho > 0
+            l1, l2 = d1 / lv, d2 / lv
+            over = np.where(pos, l1 / np.where(pos, rho, 1.0), l2)
+            return lv, over, l2 - l1 ** 2 + over
 
     def curvature(r):
-        rho = rho_of_r(r)
-        return -derivs(rho)[1] / lam(rho) ** 2
+        lv, _, lap = derivs(rho_of_r(r))
+        return -lap / lv ** 2
 
     def hessian(r):
         rho = rho_of_r(r)
-        return (1.0 + rho * rho * derivs(rho)[0]) / (2.0 * lam(rho) * rho)
+        lv, over, _ = derivs(rho)
+        return (1.0 + rho * rho * over) / (2.0 * lv * rho)
 
     def circle(center, rs):
         # _shooting's binding is read per call: a wrapper put there sees it
         return _shooting.circle_interpolator(
-            lam, lambda rho: derivs(rho)[0], center, rs)
+            lam, lambda rho: derivs(rho)[1], center, rs)
 
-    return dict(f_r_of_rho=r_of_rho, f_rho_of_r=rho_of_r, rho_order=beta,
-                f_curvature=curvature, f_hessian=hessian, f_circle=circle)
+    return RadialKahlerModel(
+        n=n, profile=profile, kind="custom", r_max=r_max,
+        conjugate_radius=math.inf, rho_order=beta, f_r_of_rho=r_of_rho,
+        f_rho_of_r=rho_of_r, f_curvature=curvature, f_hessian=hessian,
+        f_circle=circle)
 
 
 # ---------------------------------------------------------------------------

@@ -597,13 +597,15 @@ def test_overflowing_curve_is_one_error_line_without_warnings(capsys, argv):
     ["--model", "sphere", "--kappa", "5000"],
     ["--model", "poly", "--coeffs", "1,0.5"],
     ["--model", "poly", "--coeffs", "1,-0.5"],
+    ["--model", "poly", "--coeffs", "1,-2,1"],
     ["--model", "table", "--table",
      str(ROOT / "perfbench" / "cigar_61.txt")],
 ])
 def test_curvature_default_grid_fits_every_model(tmp_path, argv):
     # the bare command runs on every chart: 40 radii from 0.05 to 5, or to
     # inside r_max where the chart ends sooner (sphere r_max pi, pi/2 and
-    # 0.044, the table 2.49, the cusped poly 0.943)
+    # 0.044, the table 2.49, the cusped poly 0.943, lam = (1 - rho^2)^2
+    # 8/15)
     path = tmp_path / "k.csv"
     assert main(["curvature", *argv, "--csv", str(path)]) == 0
     r = np.loadtxt(path, delimiter=",", skiprows=1)[:, 0]

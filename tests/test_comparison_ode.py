@@ -253,6 +253,22 @@ def test_solve_convexifier_requires_normalization():
         solve_convexifier(bad)
 
 
+@pytest.mark.parametrize("c,verdict,min_residual", [
+    (0.5, "pass", 0.0), (0.4, "fail", -8.0)])
+def test_verify_supersolution_differences_u(c, verdict, min_residual):
+    # without u_prime, u' comes from finite differences: u = c/r under
+    # g = 0 leaves (2c^2 - c)/r^2, zero for c = 1/2 and -8 at r = 0.1 for
+    # c = 0.4
+    u = make_supersolution(lambda r: c / np.asarray(r, dtype=float))
+    assert u.u_prime is None
+    rep = verify_supersolution(u, curvature_bound("constant", c=0.0),
+                               np.geomspace(0.1, 5.0, 40))
+    assert rep.verdict == verdict
+    assert rep.witness["min_residual"] == pytest.approx(min_residual,
+                                                        abs=1e-9)
+    assert rep.witness["argmin_r"] == pytest.approx(0.1)
+
+
 # ---------------------------------------------------------------------------
 # the power-decay sign
 

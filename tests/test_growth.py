@@ -827,6 +827,22 @@ def test_order_cigar_exponential():
     assert order_at_infinity(c) == math.inf
 
 
+@pytest.mark.parametrize("model,f,order", [
+    (FLAT, {2: 1.0}, 2.0), (CIGAR, {1: 1.0}, math.inf)])
+def test_order_from_half_decades(model, f, order):
+    # no radius in [6, 60): the slopes come from the two halves of the
+    # outer decade instead
+    c = growth_curve(model, HoloPoly(1, f), 0, np.geomspace(60, 600, 12))
+    assert order_at_infinity(c) == pytest.approx(order, abs=1e-9)
+
+
+def test_growth_order_refuses_an_edge_at_finite_distance():
+    # lam = (1 - rho^2)^2 ends its chart 8/15 from the origin
+    model = builtin_model("conformal_poly", coeffs=[1.0, -2.0, 1.0])
+    with pytest.raises(DomainError, match="noncompact"):
+        growth_order(model, HoloPoly(1, {1: 1.0}))
+
+
 def test_order_validation():
     f = HoloPoly(1, {1: 1.0})
     with pytest.raises(DomainError):

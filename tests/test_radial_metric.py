@@ -2,6 +2,8 @@
 import math
 import time
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from growthlab import (
     rho_of_r,
 )
 from growthlab import _numdiff, radial_metric
+
+TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "cigar_61.txt"
 
 
 def all_models():
@@ -46,6 +50,12 @@ def r_grid(model, lo=0.05, hi=5.0, k=40):
 def test_unknown_tag_rejected():
     with pytest.raises(DomainError):
         builtin_model("torus")
+
+
+def test_table_models_come_from_model_from_profile():
+    # a table is a profile: builtin_model takes no table tag or path
+    with pytest.raises(TypeError):
+        builtin_model("custom", table=str(TABLE))
 
 
 def test_conformal_poly_needs_coeffs():
@@ -438,13 +448,16 @@ def test_profile_table_spline_matches_scipy(tmp_path):
         prof = load_profile_table(path)
         q = np.linspace(-1.0, rho[-1] + 1.0, 20001)
         inside = np.clip(q, 0.0, rho[-1])
-        for nu, got in enumerate((prof.lam, prof.d_lam, prof.d2_lam)):
+        jet = prof.jet(q)
+        # the jet's lam is the profile's lam, bit for bit
+        assert np.array_equal(jet[0], prof.lam(q))
+        for nu, got in enumerate(jet):
             ref = want(inside, nu)
-            err = np.max(np.abs(got(q) - ref))
+            err = np.max(np.abs(got - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (path, nu, err)
         assert prof.lam(-0.5) == prof.lam(0.0) == lam[0]
         assert prof.lam(rho[-1] + 0.5) == prof.lam(rho[-1])
-        assert prof.d_lam(0.0) == 0.0
+        assert prof.jet(0.0)[1] == 0.0
 
 
 def test_profile_table_builds_in_linear_time(tmp_path):
@@ -469,3 +482,74 @@ def test_truncated_profile_has_finite_radius():
     m = model_from_profile(bare)
     assert math.isfinite(m.r_max)
     assert abs(m.r_max - 2.0) < 1e-7
+
+
+def _disk(a):
+    """lam = (1 - rho^2)^-a on the unit disk."""
+    return RadialProfile(lam=lambda rho: (1.0 - rho * rho) ** -a,
+                         rho_max=1.0, name=f"disk({a})")
+
+
+def test_edge_zero_poly_is_incomplete():
+    # lam = (1 - rho^2)^2 reaches zero at the edge, r = 8/15 away
+    m = builtin_model("conformal_poly", coeffs=[1.0, -2.0, 1.0])
+    assert abs(m.r_max - 8.0 / 15.0) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 0.85])
+def test_integrable_edge_blowup_is_incomplete(a):
+    # r = int_0^1 (1 - rho^2)^-a = sqrt(pi)/2 Gamma(1 - a)/Gamma(3/2 - a)
+    # converges for a < 1; r_max stops at the last edge knot 1 - 2^-48,
+    # short of it by the tail int (2 t)^-a dt over [0, 2^-48]
+    m = model_from_profile(_disk(a))
+    exact = math.sqrt(math.pi) / 2 * math.gamma(1 - a) / math.gamma(1.5 - a)
+    tail = 2.0 ** -a * 2.0 ** (-48 * (1 - a)) / (1 - a)
+    assert abs((exact - m.r_max) / tail - 1.0) < 1e-3
+    rho = rho_of_r(m, np.linspace(0.0, np.nextafter(m.r_max, 0.0), 50))
+    assert np.all(np.diff(rho) > 0) and rho[-1] < 1.0
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_divergent_edge_is_complete(a):
+    # the bare hyperbolic disk is test_complete_disk_profile_has_infinite_radius
+    assert model_from_profile(_disk(a)).r_max == math.inf
+
+
+@pytest.mark.parametrize("model,r_max", [
+    # r_max as the edge probe read it before completeness came from the
+    # chart's edge ladder
+    (lambda: model_from_profile(load_profile_table(str(TABLE))),
+     2.4917798521034946),
+    (lambda: model_from_profile(RadialProfile(
+        lam=lambda x: np.ones_like(np.asarray(x, dtype=float)), rho_max=2.0,
+        name="unit")), 1.9999999998),
+    (lambda: builtin_model("conformal_poly", coeffs=[1.0, -0.5]),
+     0.9428090415820635),
+])
+def test_bounded_profiles_keep_their_radius(model, r_max):
+    assert abs(model().r_max - r_max) < 1e-9
+
+
+def test_table_curvature_and_hessian_take_one_jet_call():
+    # lam runs only inside rho(r); H and u read lam, lam' and lam'' from
+    # one jet call
+    prof = load_profile_table(str(TABLE))
+    calls = {"lam": 0, "jet": 0}
+
+    def counting(key, fn):
+        def wrapped(rho):
+            calls[key] += 1
+            return fn(rho)
+        return wrapped
+
+    m = model_from_profile(replace(prof, lam=counting("lam", prof.lam),
+                                   jet=counting("jet", prof.jet)))
+    rs = np.geomspace(0.05, 2.4, 160)
+    calls.update(lam=0, jet=0)
+    rho_of_r(m, rs)
+    inside = calls["lam"]
+    assert inside > 0 and calls["jet"] == 0
+    for fn in (radial_curvature, model_hessian):
+        calls.update(lam=0, jet=0)
+        fn(m, rs)
+        assert calls == {"lam": inside, "jet": 1}, fn.__name__
