@@ -40,10 +40,11 @@ import numpy as np
 
 from . import __version__
 from .comparison_ode import (
+    Convexifier,
     closed_form_convexifier,
     closed_form_supersolution,
     curvature_bound,
-    make_supersolution,
+    make_supersolution,  # noqa: F401  perfbench/tracing.py wraps cli's name
     solve_convexifier,
     solve_riccati_equality,
     verify_supersolution,
@@ -215,32 +216,34 @@ def build_model(args):
     return builtin_model(tag, args.n, kappa=args.kappa)
 
 
-# catalog tags of the closed-form convexifiers, by model kind (for --h
-# auto; hyperbolic and sphere at unit scale only) and by --h-tag name
-_CLOSED_H = {"flat": "nonneg", "cigar": "cigar",
-             "hyperbolic": "lower_bound_minus_one",
-             "sphere": "lower_bound_plus_one",
-             "logr": "nonneg", "power-decay": "power_decay"}
+# catalog tags of the closed-form convexifiers, by --h-tag name
+_CLOSED_H = {"logr": "nonneg", "cigar": "cigar", "power-decay": "power_decay"}
 
 
 def resolve_h(spec: str, model, radii: np.ndarray):
     """Reparametrization for the convexity checks.
 
-    'logr' is the universal choice for nonnegative curvature; 'auto'
-    picks the model's exact closed form when there is one and otherwise
-    solves the comparison pair from the model's own radial Hessian.
+    'logr' is the universal choice for nonnegative curvature.  'auto' is
+    the model's own h = log(lam(0) rho(r)) on (0, 1.25 max(radii)], cut
+    at r_max: with J = lam(rho) rho, h' = 1/J and h'' = -J'/J^2, so
+    (1/2) h'' + h' u = 0 for the model Hessian u = J'/(2J), and e^h/r =
+    lam(0) rho/r -> 1 since dr/drho = lam.  It is the equality case of
+    the comparison pair.
     """
     if spec == "logr":
         return closed_form_convexifier("nonneg")
     if spec != "auto":
         raise DomainError(f"unknown h spec {spec!r}")
-    unit = (not model.params) or model.params[0] == 1.0
-    if model.kind in _CLOSED_H and unit:
-        return closed_form_convexifier(_CLOSED_H[model.kind])
-    u = make_supersolution(lambda r: model_hessian(model, r))
-    hi = min(1.25 * float(np.max(radii)), 0.99 * model.conjugate_radius,
-             np.nextafter(model.r_max, 0))
-    return solve_convexifier(u, r_end=hi)
+    lam = model.profile.lam
+    lam0 = float(lam(0.0))
+
+    def h_prime(r):
+        rho = rho_of_r(model, r)
+        return 1.0 / (lam(rho) * rho)
+
+    hi = min(1.25 * float(np.max(radii)), float(np.nextafter(model.r_max, 0)))
+    return Convexifier(h=lambda r: np.log(lam0 * rho_of_r(model, r)),
+                       h_prime=h_prime, domain=(0.0, hi), tag="model")
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,6 @@ class Convexifier:
     h: Callable
     h_prime: Callable
     h_second: Callable | None = None
-    normalization_residual: float = 0.0
     domain: tuple = (0.0, math.inf)
     tag: str = "custom"
 
@@ -357,9 +356,7 @@ def solve_convexifier(u: Supersolution, r_end: float | None = None) -> Convexifi
         return -2.0 * np.asarray(u(r_arr), dtype=float) * h_prime(r_arr)
 
     return Convexifier(h=h, h_prime=h_prime, h_second=h_second,
-                       normalization_residual=_nres_of(lambda r: float(h(r))),
-                       domain=(0.0, hi),
-                       tag=f"solved[{u.tag}]")
+                       domain=(0.0, hi), tag=f"solved[{u.tag}]")
 
 
 # Chebyshev panels in t = log r: 16 Lobatto points per panel, ascending
@@ -612,12 +609,7 @@ def closed_form_convexifier(tag: str, **params) -> Convexifier:
     """Catalog h with analytic derivatives; see _CATALOG."""
     *_, h, h_prime, h_second, h_end = _catalog_row(tag, params)
     return Convexifier(h=h, h_prime=h_prime, h_second=h_second,
-                       normalization_residual=_nres_of(lambda r: float(h(r))),
                        domain=(0.0, h_end), tag=tag)
-
-
-def _nres_of(h_scalar) -> float:
-    return abs(math.exp(h_scalar(_R0_CHECK)) / _R0_CHECK - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,6 @@ class RadialKahlerModel:
     f_hessian: Callable                      # u(r)
     # (center, r) -> (phi -> z), phi shared or one row per circle
     f_circle: Callable
-    params: tuple = ()
     f_pair_distance: Callable | None = None  # d(p, q), complex args
 
     def __post_init__(self):
@@ -230,7 +229,7 @@ def _space_form(n: int, kappa: float, s: float) -> RadialKahlerModel:
                          name=f"{kind}(kappa={kappa:g})")
     return RadialKahlerModel(
         n=n, profile=prof, kind=kind, r_max=r_max, conjugate_radius=r_max,
-        rho_order=0.0 if s > 0 else math.nan, params=(kappa,),
+        rho_order=0.0 if s > 0 else math.nan,
         f_r_of_rho=lambda rho: 2.0 * atan(rho) / sk,
         f_rho_of_r=rho_of_r,
         f_curvature=lambda r: -s * kappa + 0.0 * r,
@@ -258,8 +257,7 @@ def _conformal_poly_model(n: int, coeffs: Sequence[float]) -> RadialKahlerModel:
 
     prof = RadialProfile(lam=lambda rho: p(rho ** 2), rho_max=rho_max,
                          name=f"conformal_poly{tuple(c)}", jet=jet)
-    return replace(model_from_profile(prof, n), kind="conformal_poly",
-                   params=tuple(c))
+    return replace(model_from_profile(prof, n), kind="conformal_poly")
 
 
 def builtin_model(tag: str, n: int = 1, *, kappa: float = 1.0,
@@ -524,19 +522,23 @@ def model_from_profile(profile: RadialProfile, n: int = 1) -> RadialKahlerModel:
     the profile's jet when it has one ((log lam)'/rho -> lam''(0)/lam(0)
     at 0), else from lam and the G panels.  H = -Delta_0 log lam / lam^2
     and u = (1 + rho^2 (log lam)'/rho) / (2 lam rho) at rho = rho(r), and
-    circles integrate the exp map with the same (log lam)'/rho.
+    circles integrate the exp map with the same (log lam)'/rho, logd;
+    without a jet it comes from the G panels alone, so the exp map's steps
+    never call lam.
     """
     lam, jet = profile.lam, profile.jet
     r_of_rho, rho_of_r, knots, r_max, beta = _chart(lam, profile.rho_max)
     if jet is None:
         panels = _g_panels(lam, knots)
         derivs = lambda rho: (lam(rho),) + panels(rho)
+        logd = lambda rho: panels(rho)[0]
     else:
         def derivs(rho):
             (lv, d1, d2), pos = jet(rho), rho > 0
             l1, l2 = d1 / lv, d2 / lv
             over = np.where(pos, l1 / np.where(pos, rho, 1.0), l2)
             return lv, over, l2 - l1 ** 2 + over
+        logd = lambda rho: derivs(rho)[1]
 
     def curvature(r):
         lv, _, lap = derivs(rho_of_r(r))
@@ -549,8 +551,7 @@ def model_from_profile(profile: RadialProfile, n: int = 1) -> RadialKahlerModel:
 
     def circle(center, rs):
         # _shooting's binding is read per call: a wrapper put there sees it
-        return _shooting.circle_interpolator(
-            lam, lambda rho: derivs(rho)[1], center, rs)
+        return _shooting.circle_interpolator(lam, logd, center, rs)
 
     return RadialKahlerModel(
         n=n, profile=profile, kind="custom", r_max=r_max,

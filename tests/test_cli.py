@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from growthlab import (Check, builtin_model, closed_form_convexifier,
-                       comparison_ode, dim_bound_from_h, dim_poly_space,
-                       distance_from_origin, exp_growth_bound, growth,
-                       load_profile_table, model_from_profile, model_hessian,
-                       power_decay_regimes)
+from growthlab import (Check, RadialProfile, builtin_model, cli,
+                       closed_form_convexifier, comparison_ode,
+                       dim_bound_from_h, dim_poly_space, distance_from_origin,
+                       exp_growth_bound, growth, load_profile_table,
+                       make_supersolution, model_from_profile, model_hessian,
+                       power_decay_regimes, solve_convexifier)
 from growthlab.cli import (SUITES, _CLOSED_H, _jsonable, build_model,
                            build_parser, main, parse_complex, parse_function,
                            parse_radii, resolve_h)
@@ -335,9 +336,14 @@ def test_json_report_contents(tmp_path):
     assert rep["elapsed_s"] >= 0
 
 
-def test_three_circle_table_model_auto_h(tmp_path):
-    # auto h on a spline-table model: solve_convexifier evaluates the
-    # table's u on whole arrays of panel nodes, a few calls per solve
+def test_three_circle_table_model_auto_h(tmp_path, monkeypatch):
+    # auto h on a spline-table model is the table's own log(lam(0) rho(r)):
+    # no comparison solve runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("--h auto ran a comparison solve")
+
+    for name in ("solve_convexifier", "make_supersolution"):
+        monkeypatch.setattr(cli, name, no_solve)
     table = ROOT / "perfbench" / "cigar_61.txt"
     path = tmp_path / "r.json"
     code = main(["three-circle", "--model", "table", "--table", str(table),
@@ -345,6 +351,23 @@ def test_three_circle_table_model_auto_h(tmp_path):
     assert code == 0
     (check,) = json.loads(path.read_text())["checks"]
     assert check["verdict"] == "pass"
+
+
+def _solved_h(model, r_end):
+    """The comparison solve from the model's own Hessian."""
+    return solve_convexifier(
+        make_supersolution(lambda r: model_hessian(model, r)), r_end=r_end)
+
+
+def _bare_cigar():
+    return model_from_profile(RadialProfile(
+        lam=builtin_model("cigar").profile.lam, rho_max=math.inf,
+        name="bare"))
+
+
+def _table_model():
+    return model_from_profile(load_profile_table(
+        str(ROOT / "perfbench" / "cigar_61.txt")))
 
 
 @pytest.mark.parametrize("kind,kw,tag", [
@@ -357,10 +380,20 @@ def test_three_circle_table_model_auto_h(tmp_path):
     ("conformal_poly", {"coeffs": [1.0, 1.0]}, "solved[custom]"),
 ])
 def test_auto_h_choice(kind, kw, tag):
-    # the catalog h at unit scale only; otherwise h is solved from the
-    # model's own Hessian
+    # one h for every model, log(lam(0) rho(r)); tag names the catalog h
+    # it equals, or solved[custom] where only a comparison solve gives it
     h = resolve_h("auto", builtin_model(kind, **kw), np.array([1.5]))
-    assert h.tag == tag
+    assert h.tag == "model"
+    if tag == "solved[custom]":
+        return
+    grid = np.geomspace(1e-3, 1.8, 60)
+    want = closed_form_convexifier(tag)
+    if tag == "cigar":
+        # log sinh r against the catalog's r + log1p(-e^{-2r}) - log 2
+        assert np.max(np.abs(h(grid) - want(grid))) <= 1e-13
+    else:
+        assert np.array_equal(h(grid), want(grid))
+    assert np.max(np.abs(h.h_prime(grid) / want.h_prime(grid) - 1.0)) <= 2e-15
 
 
 @pytest.mark.parametrize("kind,kappa,h_prime", [
@@ -368,19 +401,20 @@ def test_auto_h_choice(kind, kw, tag):
     ("sphere", 0.5, lambda k, r: k / np.sin(k * r)),
 ])
 def test_auto_h_solved_at_other_scales(kind, kappa, h_prime):
-    h = resolve_h("auto", builtin_model(kind, kappa=kappa), np.array([1.5]))
+    h = _solved_h(builtin_model(kind, kappa=kappa), 1.875)
     grid = np.geomspace(1e-3, 1.8, 60)
     want = h_prime(math.sqrt(kappa), grid)
     assert np.max(np.abs(np.asarray(h.h_prime(grid)) / want - 1.0)) <= 1e-12
 
 
 def test_table_model_auto_h_prime_matches_quadrature():
-    # the table's u is only C^1 (the spline's lam''' jumps at the knots, so
-    # u'' does), and the panels must split near the knots; the reference
-    # V = int (u - 1/2s) is adaptive quad with breakpoints at the knots in r
+    # the comparison solve on the table's u, which is only C^1 (the
+    # spline's lam''' jumps at the knots, so u'' does): the panels must
+    # split near the knots; the reference V = int (u - 1/2s) is adaptive
+    # quad with breakpoints at the knots in r
     table = ROOT / "perfbench" / "cigar_61.txt"
     model = model_from_profile(load_profile_table(str(table)))
-    h = resolve_h("auto", model, np.array([1.5]))
+    h = _solved_h(model, 1.875)
     assert h.domain[1] == pytest.approx(1.875)
     rho = np.loadtxt(table)[:, 0]
     knots = distance_from_origin(model, rho[1:-1])
@@ -396,6 +430,47 @@ def test_table_model_auto_h_prime_matches_quadrature():
     v = np.cumsum(pieces)[np.searchsorted(ends, grid)]
     want = np.exp(-2.0 * v) / grid
     assert np.max(np.abs(np.asarray(h.h_prime(grid)) / want - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("poly", 1e-13), ("bare", 1e-12), ("hyperbolic", 3e-14),
+    ("sphere", 5e-14), ("table", 3e-8)])
+def test_solved_h_is_the_model_h(name, bound):
+    # the comparison solve from the model's own Hessian lands on
+    # log(lam(0) rho(r)) up to a constant from its anchor at r0 = 1e-4;
+    # each bound is about 10x the spread on this grid
+    model = {
+        "poly": lambda: builtin_model("conformal_poly", coeffs=[1, 0.8, 0.1]),
+        "bare": _bare_cigar,
+        "hyperbolic": lambda: builtin_model("hyperbolic", kappa=2.0),
+        "sphere": lambda: builtin_model("sphere", kappa=0.5),
+        "table": _table_model,
+    }[name]()
+    hi = min(8.0, 0.99 * model.r_max)
+    grid = np.geomspace(1e-3, hi, 80)
+    delta = (_solved_h(model, hi)(grid)
+             - resolve_h("auto", model, np.array([hi / 1.25]))(grid))
+    assert abs(np.median(delta)) <= 1e-8
+    assert np.max(np.abs(delta - np.median(delta))) <= bound
+
+
+def test_auto_h_equality_case():
+    # f = z has log M = h - log lam(0) under the model's own h, so its
+    # second differences are rounding on every model
+    models = [builtin_model("flat"), builtin_model("cigar"),
+              builtin_model("hyperbolic"),
+              builtin_model("hyperbolic", kappa=2.0), builtin_model("sphere"),
+              builtin_model("sphere", kappa=0.5),
+              builtin_model("conformal_poly", coeffs=[1.0, 1.0]),
+              builtin_model("conformal_poly", coeffs=[1.0, -0.5]),
+              _bare_cigar(), _table_model()]
+    radii = np.geomspace(0.1, 0.9, 8)
+    f = growth.HoloPoly(1, {(1,): 1.0})
+    for model in models:
+        curve = growth.growth_curve(model, f, 0, radii)
+        rep = growth.three_circle_check(curve, resolve_h("auto", model, radii))
+        worst = np.max(np.abs(rep.second_differences))
+        assert worst <= 1e-13, (model.profile.name, worst)
 
 
 def test_evaluation_budget_exit_code(monkeypatch, capsys):
@@ -827,7 +902,8 @@ def test_lab_commands_load_no_scipy(tmp_path):
         ["necessity", "--model", "table", "--table", table],
         ["homogeneity", "--model", "flat", "--f", "z^2+z",
          "--radii", "100,1000"],
-        # --h auto solves the table's h up to its r_max of 2.49
+        # --h auto reads the table's h = log(lam(0) rho(r)) up to its
+        # r_max of 2.49
         ["three-circle", "--model", "table", "--table", table, "--f", "z",
          "--radii", "0.2:2:8"],
         # not alignable: the n = 2 sphere route and its sample directions

@@ -18,6 +18,7 @@ from growthlab import (
     builtin_model,
     curvature_at_origin,
     distance_from_origin,
+    geodesic_circle,
     load_profile_table,
     model_from_profile,
     model_hessian,
@@ -553,3 +554,21 @@ def test_table_curvature_and_hessian_take_one_jet_call():
         calls.update(lam=0, jet=0)
         fn(m, rs)
         assert calls == {"lam": inside, "jet": 1}, fn.__name__
+
+
+def test_jetless_circles_call_lam_only_at_their_start():
+    # the exp-map right-hand side reads (log lam)'/rho from the G panels
+    # alone; lam runs for r(|center|) and the launch speed
+    cigar = builtin_model("cigar")
+    calls = [0]
+
+    def lam(rho):
+        calls[0] += 1
+        return cigar.profile.lam(rho)
+
+    bare = model_from_profile(RadialProfile(lam=lam, rho_max=math.inf,
+                                            name="bare"))
+    calls[0] = 0
+    geodesic_circle(bare, 0.4 + 0.3j, np.geomspace(0.2, 1.5, 7))(
+        np.linspace(0.0, 2.0 * np.pi, 16))
+    assert calls[0] == 2
